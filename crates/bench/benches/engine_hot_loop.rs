@@ -1,7 +1,7 @@
 //! Engine-throughput benches: the per-delivery cost of the event loop.
 //!
 //! Unlike `protocols.rs` (one group per paper experiment), this group
-//! isolates the *simulator substrate*: three workload shapes chosen to
+//! isolates the *simulator substrate*: four workload shapes chosen to
 //! stress the scheduler index and the message hot path at ring sizes where
 //! an O(n)-per-delivery engine becomes the bottleneck.
 //!
@@ -12,6 +12,10 @@
 //! * `quadratic_stateless` — the Theorem 3 stateless replay
 //!   (`StatelessTwoPass`), whose pass-2 messages replay pass-1 history:
 //!   wider payloads and two full passes of deliveries.
+//! * `payload` — the `{wcw}` recognizer (`WcWPrefixForward`) at
+//!   n ∈ {1025, 4097}: a Θ(n)-bit token on every hop, so it prices the
+//!   payload codec per delivery on top of the scheduler
+//!   (`BENCH_0008.json`).
 //!
 //! * `one_pass_sharded` — the one-pass workload again, split across
 //!   {2, 4, 8} engine shards. A single token once meant one delivery per
@@ -35,7 +39,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ringleader_automata::Word;
-use ringleader_core::{BidirMeetInMiddle, DfaOnePass, StatelessTwoPass};
+use ringleader_core::{BidirMeetInMiddle, DfaOnePass, StatelessTwoPass, WcWPrefixForward};
 use ringleader_langs::{DfaLanguage, Language};
 use ringleader_sim::{RingRunner, RunPhase};
 
@@ -115,6 +119,24 @@ fn bench_quadratic_stateless(c: &mut Criterion) {
     for n in SIZES {
         let word = word_for(&lang, n, 0xE2);
         group.bench_with_input(BenchmarkId::from_parameter(n), &word, |b, w| {
+            b.iter(|| RingRunner::new().run(&proto, w).unwrap());
+        });
+    }
+    group.finish();
+}
+
+/// Payload-heavy token: the Θ(n²)-bit `{wcw}` recognizer, whose token
+/// carries the Θ(n)-bit prefix `w` on every hop. Each delivery adds the
+/// payload codec's work (decode, absorb, re-encode ~n/2 bits) to the
+/// engine floor that `one_pass` measures; `BENCH_0008.json` records it
+/// next to the codec layer's per-bit cost.
+fn bench_payload(c: &mut Criterion) {
+    let proto = WcWPrefixForward::new();
+    let lang = proto.language().clone();
+    let mut group = c.benchmark_group("engine_hot_loop/payload");
+    for n in [1025usize, 4097] {
+        let word = word_for(&lang, n, 0xE3);
+        group.bench_with_input(BenchmarkId::new("wcw", n), &word, |b, w| {
             b.iter(|| RingRunner::new().run(&proto, w).unwrap());
         });
     }
@@ -331,6 +353,7 @@ criterion_group!(
     bench_one_pass_sharded,
     bench_bidir_collision,
     bench_quadratic_stateless,
+    bench_payload,
     bench_checkpointed,
     bench_metered,
     bench_trace_ring

@@ -238,8 +238,10 @@ impl BitString {
 
     /// Appends all bits of `other` after the bits of `self`.
     ///
-    /// Byte-aligned appends (the common case: concatenating whole
-    /// messages) are bulk byte copies.
+    /// A bulk copy at any destination offset: byte-aligned appends are a
+    /// single byte copy, unaligned ones shift `other` in a 64-bit word at
+    /// a time. Either way the cost is `O(other.len() / 64)` word operations
+    /// (plus amortized growth), never a loop over bits.
     ///
     /// # Examples
     ///
@@ -251,20 +253,47 @@ impl BitString {
     /// assert_eq!(a.to_string(), "10011");
     /// ```
     pub fn extend_from(&mut self, other: &BitString) {
-        if self.len % 8 == 0 {
-            let src = other.as_bytes();
-            let start = self.len / 8;
-            self.grow_bytes(start + src.len());
-            self.data_mut()[start..start + src.len()].copy_from_slice(src);
-            self.len += other.len;
+        let start = self.len;
+        let end = (start + other.len).div_ceil(8);
+        self.grow_bytes(end);
+        let src = other.as_bytes();
+        let dst = &mut self.data_mut()[start / 8..end];
+        if start % 8 == 0 {
+            dst.copy_from_slice(src);
         } else {
-            for bit in other.iter() {
-                self.push(bit);
-            }
+            shift_up_into(dst, src, (start % 8) as u32);
         }
+        self.len = start + other.len;
+    }
+
+    /// Appends `count` zero bits without touching the bits themselves:
+    /// the backing store past `len` is already zero (repr invariant).
+    pub(crate) fn push_zeros(&mut self, count: usize) {
+        self.grow_bytes((self.len + count).div_ceil(8));
+        self.len += count;
+    }
+
+    /// Appends the low `count <= 64` bits of `word`, bit 0 first. Bits of
+    /// `word` at positions `>= count` must be zero.
+    pub(crate) fn push_word(&mut self, word: u64, count: usize) {
+        debug_assert!(count <= 64 && word & !low_mask(count) == 0);
+        let start = self.len;
+        self.grow_bytes((start + count).div_ceil(8));
+        or_word(self.data_mut(), start, word, count);
+        self.len = start + count;
+    }
+
+    /// The `count <= 64` bits starting at bit `pos` as a word, bit `pos`
+    /// in bit 0. Bits past the end of the string read as zero.
+    pub(crate) fn word_at(&self, pos: usize, count: usize) -> u64 {
+        read_word(self.as_bytes(), pos, count)
     }
 
     /// Returns a new string holding bits `range.start..range.end`.
+    ///
+    /// Like [`extend_from`](BitString::extend_from), a bulk copy: one byte
+    /// copy when `range.start` is byte-aligned, 64-bit shift-and-mask
+    /// words otherwise.
     ///
     /// # Panics
     ///
@@ -286,11 +315,7 @@ impl BitString {
         if shift == 0 {
             dst[..nbytes].copy_from_slice(&src[first..first + nbytes]);
         } else {
-            for (i, d) in dst[..nbytes].iter_mut().enumerate() {
-                let lo = src[first + i] >> shift;
-                let hi = src.get(first + i + 1).map_or(0, |b| b << (8 - shift));
-                *d = lo | hi;
-            }
+            shift_down_into(&mut dst[..nbytes], &src[first..], shift as u32);
         }
         // Zero the copied-in bits past the logical end (repr invariant).
         let rem = len % 8;
@@ -310,6 +335,134 @@ impl BitString {
     #[must_use]
     pub fn count_ones(&self) -> usize {
         self.as_bytes().iter().map(|b| b.count_ones() as usize).sum()
+    }
+}
+
+/// The low `count` bits set (`count <= 64`).
+fn low_mask(count: usize) -> u64 {
+    if count >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << count) - 1
+    }
+}
+
+/// The 8 bytes at `bytes[at..]` as a little-endian word; bytes past the
+/// end read as zero.
+fn load_le(bytes: &[u8], at: usize) -> u64 {
+    match bytes.get(at..at + 8) {
+        Some(chunk) => le_word(chunk),
+        None => {
+            let mut buf = [0u8; 8];
+            let tail = bytes.get(at..).unwrap_or_default();
+            buf[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(buf)
+        }
+    }
+}
+
+/// ORs `word` little-endian into the 8 bytes at `bytes[at..]`. Bytes past
+/// the end are dropped; callers only ever place zero bits there.
+fn or_le(bytes: &mut [u8], at: usize, word: u64) {
+    match bytes.get_mut(at..at + 8) {
+        Some(chunk) => {
+            let cur = le_word(chunk);
+            chunk.copy_from_slice(&(cur | word).to_le_bytes());
+        }
+        None => {
+            let tail = bytes.get_mut(at..).unwrap_or_default();
+            for (b, w) in tail.iter_mut().zip(word.to_le_bytes()) {
+                *b |= w;
+            }
+        }
+    }
+}
+
+/// The `count <= 64` bits at bit offset `pos` of an LSB-first packed
+/// buffer, bit `pos` in bit 0 of the result; bits past the end read as
+/// zero.
+fn read_word(bytes: &[u8], pos: usize, count: usize) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let (at, shift) = (pos / 8, pos % 8);
+    let mut word = load_le(bytes, at) >> shift;
+    if shift + count > 64 {
+        word |= u64::from(bytes.get(at + 8).copied().unwrap_or(0)) << (64 - shift);
+    }
+    word & low_mask(count)
+}
+
+/// ORs the low `count <= 64` bits of `word` (higher bits zero) into an
+/// LSB-first packed buffer at bit offset `pos`. Bits outside
+/// `pos..pos + count` are left unchanged.
+fn or_word(bytes: &mut [u8], pos: usize, word: u64, count: usize) {
+    let (at, shift) = (pos / 8, pos % 8);
+    or_le(bytes, at, word << shift);
+    if shift + count > 64 {
+        if let Some(b) = bytes.get_mut(at + 8) {
+            *b |= (word >> (64 - shift)) as u8;
+        }
+    }
+}
+
+/// One little-endian word from an 8-byte chunk.
+fn le_word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes"))
+}
+
+/// Fills `dst` with the bits of `src` shifted down by `shift` (1..=7):
+/// bit `i` of `dst` is bit `i + shift` of `src`. Whole 64-bit words
+/// first, then the last few bytes; `src` must hold at least `dst.len()`
+/// bytes, and bits it lacks read as zero.
+fn shift_down_into(dst: &mut [u8], src: &[u8], shift: u32) {
+    // Word k needs source bytes 8k..8k + 16 (its own word and the next).
+    let words = (dst.len() / 8).min(src.len().saturating_sub(8) / 8);
+    let lo = src.chunks_exact(8);
+    let hi = src.get(8..).unwrap_or_default().chunks_exact(8);
+    for ((out, lo), hi) in dst[..8 * words].chunks_exact_mut(8).zip(lo).zip(hi) {
+        let word = (le_word(lo) >> shift) | (le_word(hi) << (64 - shift));
+        out.copy_from_slice(&word.to_le_bytes());
+    }
+    for i in 8 * words..dst.len() {
+        dst[i] = (src[i] >> shift) | src.get(i + 1).map_or(0, |b| b << (8 - shift));
+    }
+}
+
+/// Appends the bits of `src` to `dst` at bit offset `shift` (1..=7) of
+/// `dst[0]`: bit `i` of `src` lands at bit `i + shift` of `dst`. The low
+/// `shift` bits of `dst[0]` are kept and every other bit of `dst` must be
+/// zero (repr invariant); `dst` holds `(shift + 8·src.len()).div_ceil(8)`
+/// bytes or fewer, in which case the dropped high bits of `src` are zero.
+fn shift_up_into(dst: &mut [u8], src: &[u8], shift: u32) {
+    // Word k is source word k shifted up, plus the top bits of word k - 1.
+    let words = (dst.len() / 8).min(src.len() / 8);
+    if words > 0 {
+        let head = le_word(&dst[..8]) | (le_word(&src[..8]) << shift);
+        dst[..8].copy_from_slice(&head.to_le_bytes());
+        let cur = src[8..].chunks_exact(8);
+        let prev = src.chunks_exact(8);
+        for ((out, cur), prev) in dst[8..8 * words].chunks_exact_mut(8).zip(cur).zip(prev) {
+            let word = (le_word(cur) << shift) | (le_word(prev) >> (64 - shift));
+            out.copy_from_slice(&word.to_le_bytes());
+        }
+    }
+    for i in 8 * words..dst.len() {
+        let cur = src.get(i).map_or(0, |b| b << shift);
+        let prev = if i == 0 { 0 } else { src[i - 1] >> (8 - shift) };
+        dst[i] |= cur | prev;
+    }
+}
+
+/// Reverses the order of the low `width` bits of `word` (`width <= 64`):
+/// converts between the MSB-first integer fields of
+/// [`BitWriter::write_bits`](crate::BitWriter::write_bits) and the
+/// LSB-first wire order.
+pub(crate) fn reverse_low_bits(word: u64, width: u32) -> u64 {
+    if width == 0 {
+        0
+    } else {
+        word.reverse_bits() >> (64 - width)
     }
 }
 

@@ -76,10 +76,7 @@ pub fn elias_delta_len(value: u64) -> usize {
 
 /// Writes `value` in unary: `value` zeros then a one.
 pub fn write_unary(w: &mut BitWriter, value: u64) {
-    for _ in 0..value {
-        w.write_bit(false);
-    }
-    w.write_bit(true);
+    w.write_zeros(value as usize).write_bit(true);
 }
 
 /// Reads a unary-coded value.
@@ -89,13 +86,9 @@ pub fn write_unary(w: &mut BitWriter, value: u64) {
 /// Returns [`DecodeError::UnexpectedEnd`] if the terminating one never
 /// arrives.
 pub fn read_unary(r: &mut BitReader<'_>) -> Result<u64, DecodeError> {
-    let mut count = 0u64;
-    loop {
-        if r.read_bit()? {
-            return Ok(count);
-        }
-        count += 1;
-    }
+    let count = r.skip_zeros();
+    r.read_bit()?; // the terminating one, or the end of the string
+    Ok(count)
 }
 
 /// Writes `value >= 1` in Elias gamma code: the unary length of the binary

@@ -1,5 +1,6 @@
 //! Cursor-style bit decoding.
 
+use crate::bitstring::reverse_low_bits;
 use crate::{BitString, DecodeError};
 
 /// Reads a [`BitString`] field by field, tracking a cursor position.
@@ -86,13 +87,26 @@ impl<'a> BitReader<'a> {
                 needed: width as usize - self.remaining(),
             });
         }
-        let mut value = 0u64;
-        for _ in 0..width {
-            let bit = self.src.get(self.pos).expect("length checked above");
-            value = (value << 1) | u64::from(bit);
-            self.pos += 1;
+        let wire = self.src.word_at(self.pos, width as usize);
+        self.pos += width as usize;
+        Ok(reverse_low_bits(wire, width))
+    }
+
+    /// Advances past the run of zero bits at the cursor, a 64-bit word at
+    /// a time, and returns its length. Stops on the first one bit (left
+    /// unread) or at the end of the string.
+    pub(crate) fn skip_zeros(&mut self) -> u64 {
+        let start = self.pos;
+        while self.pos < self.src.len() {
+            let take = self.remaining().min(64);
+            let word = self.src.word_at(self.pos, take);
+            if word != 0 {
+                self.pos += word.trailing_zeros() as usize;
+                break;
+            }
+            self.pos += take;
         }
-        Ok(value)
+        (self.pos - start) as u64
     }
 
     /// Reads a unary-coded value (zeros terminated by a one).

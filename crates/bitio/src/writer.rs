@@ -1,5 +1,6 @@
 //! Cursor-style bit encoding.
 
+use crate::bitstring::reverse_low_bits;
 use crate::BitString;
 
 /// Builds a [`BitString`] field by field.
@@ -64,9 +65,7 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            self.out.push((value >> i) & 1 == 1);
-        }
+        self.out.push_word(reverse_low_bits(value, width), width as usize);
         self
     }
 
@@ -104,7 +103,15 @@ impl BitWriter {
         self
     }
 
-    /// Appends every bit of `bits`.
+    /// Appends `count` zero bits. The output's backing store past its end
+    /// is already zero, so this only grows the length.
+    pub(crate) fn write_zeros(&mut self, count: usize) -> &mut Self {
+        self.out.push_zeros(count);
+        self
+    }
+
+    /// Appends every bit of `bits`: a bulk copy at any bit offset (see
+    /// [`BitString::extend_from`]).
     pub fn write_bitstring(&mut self, bits: &BitString) -> &mut Self {
         self.out.extend_from(bits);
         self

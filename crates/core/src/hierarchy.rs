@@ -77,8 +77,8 @@ struct WindowToken {
     /// Letters absorbed so far / check limit — present only for the
     /// literal (free-tail) language.
     pos_limit: Option<(u64, u64)>,
-    /// The last `min(pos, m)` letters (a=false, b=true), oldest first.
-    window: Vec<bool>,
+    /// The last `min(pos, m)` letters (a=0, b=1), oldest first.
+    window: BitString,
 }
 
 impl WindowToken {
@@ -93,9 +93,7 @@ impl WindowToken {
         }
         w.write_elias_delta(self.m);
         w.write_elias_delta(self.window.len() as u64 + 1);
-        for &b in &self.window {
-            w.write_bit(b);
-        }
+        w.write_bitstring(&self.window);
         w.finish()
     }
 
@@ -111,10 +109,9 @@ impl WindowToken {
         };
         let m = r.read_elias_delta()?;
         let len = r.read_elias_delta()? - 1;
-        let mut window = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            window.push(r.read_bit()?);
-        }
+        // read_bitstring checks the claimed length against the bits that
+        // are actually there before allocating anything.
+        let window = r.read_bitstring(usize::try_from(len).unwrap_or(usize::MAX))?;
         Ok(Self { valid, m, pos_limit, window })
     }
 
@@ -122,14 +119,15 @@ impl WindowToken {
     fn absorb(mut self, letter: bool) -> Self {
         let m = self.m as usize;
         if self.window.len() == m {
-            let front = self.window.remove(0);
+            let front = self.window.get(0);
+            self.window = self.window.slice(1..m);
             let check_active = match self.pos_limit {
                 // Literal L_g: only positions pos < limit are constrained.
                 Some((pos, limit)) => pos < limit,
                 // Fully periodic: every position with a full window.
                 None => true,
             };
-            if check_active && front != letter {
+            if check_active && front != Some(letter) {
                 self.valid = false;
             }
         }
@@ -186,7 +184,7 @@ impl LeaderProcess {
             m: m as u64,
             // limit = last constrained position + m = checked + m.
             pos_limit: (!self.language.has_periodic_tail()).then(|| (0, (checked + m) as u64)),
-            window: Vec::new(),
+            window: BitString::new(),
         }
         .absorb(self.input.index() == 1);
         ctx.send(Direction::Clockwise, token.encode());

@@ -64,7 +64,7 @@ struct Token {
     valid: bool,
     phase: Phase,
     /// The first copy of `w` (letters only, 1 bit each: a=0, b=1).
-    prefix: Vec<bool>,
+    prefix: BitString,
     /// How many second-copy letters matched so far.
     cursor: u64,
 }
@@ -75,9 +75,7 @@ impl Token {
         w.write_bit(self.valid);
         w.write_bit(matches!(self.phase, Phase::After));
         w.write_elias_delta(self.prefix.len() as u64 + 1);
-        for &b in &self.prefix {
-            w.write_bit(b);
-        }
+        w.write_bitstring(&self.prefix);
         w.write_elias_delta(self.cursor + 1);
         w.finish()
     }
@@ -87,10 +85,9 @@ impl Token {
         let valid = r.read_bit()?;
         let phase = if r.read_bit()? { Phase::After } else { Phase::Before };
         let len = r.read_elias_delta()? - 1;
-        let mut prefix = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            prefix.push(r.read_bit()?);
-        }
+        // read_bitstring checks the claimed length against the bits that
+        // are actually there before allocating anything.
+        let prefix = r.read_bitstring(usize::try_from(len).unwrap_or(usize::MAX))?;
         let cursor = r.read_elias_delta()? - 1;
         Ok(Self { valid, phase, prefix, cursor })
     }
@@ -105,8 +102,8 @@ impl Token {
             (Phase::Before, false) => self.prefix.push(letter.index() == 1),
             (Phase::After, true) => self.valid = false, // second separator
             (Phase::After, false) => {
-                let idx = self.cursor as usize;
-                if idx < self.prefix.len() && self.prefix[idx] == (letter.index() == 1) {
+                let idx = usize::try_from(self.cursor).unwrap_or(usize::MAX);
+                if self.prefix.get(idx) == Some(letter.index() == 1) {
                     self.cursor += 1;
                 } else {
                     self.valid = false;
@@ -141,7 +138,7 @@ impl crate::graph::OnePassRule for WcWPrefixForward {
     }
 
     fn initial(&self, letter: Symbol) -> BitString {
-        Token { valid: true, phase: Phase::Before, prefix: Vec::new(), cursor: 0 }
+        Token { valid: true, phase: Phase::Before, prefix: BitString::new(), cursor: 0 }
             .absorb(letter, self.language.separator())
             .encode()
     }
@@ -183,8 +180,9 @@ struct LeaderProcess {
 
 impl Process for LeaderProcess {
     fn on_start(&mut self, ctx: &mut Context) -> ProcessResult {
-        let token = Token { valid: true, phase: Phase::Before, prefix: Vec::new(), cursor: 0 }
-            .absorb(self.input, self.sep);
+        let token =
+            Token { valid: true, phase: Phase::Before, prefix: BitString::new(), cursor: 0 }
+                .absorb(self.input, self.sep);
         ctx.send(Direction::Clockwise, token.encode());
         Ok(())
     }
