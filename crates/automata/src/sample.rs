@@ -1,21 +1,32 @@
-//! Per-length word counting, enumeration, and uniform sampling.
+//! Per-length word counting, enumeration, and sampling.
 //!
 //! The experiments need, for each language and ring size `n`, words that
 //! are *in* the language (to measure accepting executions) and words that
 //! are *not* (to measure rejecting ones). For regular workloads this module
-//! does it exactly: a dynamic program over the DFA counts the words of each
-//! length per state, which yields uniform sampling and full enumeration.
+//! does it with a dynamic program over the DFA that counts the words of
+//! each length per state, which yields sampling and full enumeration.
 
 use rand::Rng;
 
-use crate::{Dfa, StateId, Word};
+use crate::{Dfa, StateId, Symbol, Word};
 
-/// Counts, enumerates, and uniformly samples the words of a fixed length
-/// accepted by a [`Dfa`].
+/// Counts, enumerates, and samples the words of a fixed length accepted by
+/// a [`Dfa`].
 ///
-/// Construction runs the counting DP up to `max_len` once; queries are then
-/// cheap. Counts saturate at `u128::MAX` (relevant only for alphabets and
-/// lengths far beyond the experiments').
+/// Construction runs the counting DP up to `max_len` once, keeping every
+/// `⌈√(max_len+1)⌉`-th row; a query recomputes the rows it needs one
+/// block at a time from the nearest kept row below. Memory is therefore
+/// O(√max_len · |Q|) rather than a full (max_len+1) × |Q| table, and every
+/// count is bit-for-bit the full table's.
+///
+/// Counts saturate at `u128::MAX`. Below saturation
+/// [`sample`](WordSampler::sample) is uniform over the accepted words;
+/// once counts saturate (lengths beyond about 128 on a binary alphabet)
+/// it is not. A saturated suffix count stands for 2¹²⁸ − 1 words however
+/// many there really are, so the walk almost always takes the first
+/// symbol whose count saturates, until the suffix is short enough to be
+/// counted exactly. At n = 4096 over `{a, b}` a sample's first `b` sits
+/// near position n − 128, and `b` makes up under 2% of the letters.
 ///
 /// # Examples
 ///
@@ -36,31 +47,51 @@ use crate::{Dfa, StateId, Word};
 #[derive(Debug, Clone)]
 pub struct WordSampler {
     dfa: Dfa,
-    /// `counts[len][state]` = number of words of length `len` leading from
-    /// `state` to an accepting state.
-    counts: Vec<Vec<u128>>,
+    max_len: usize,
+    /// Distance between kept rows.
+    stride: usize,
+    /// `delta[state·|Σ| + s]` = `δ(state, s)`: the transition table,
+    /// flattened for the DP's inner loop.
+    delta: Vec<u32>,
+    /// Rows `0, stride, 2·stride, …` of the DP, flattened: kept row `k`
+    /// occupies `kept[k·|Q|..(k+1)·|Q|]`, and its entry for `state` is the
+    /// number of words of length `k·stride` leading from `state` to an
+    /// accepting state.
+    kept: Vec<u128>,
 }
 
 impl WordSampler {
     /// Builds the counting tables for word lengths `0..=max_len`.
     #[must_use]
     pub fn new(dfa: &Dfa, max_len: usize) -> Self {
-        let n = dfa.state_count();
-        let mut counts: Vec<Vec<u128>> = Vec::with_capacity(max_len + 1);
-        counts.push((0..n).map(|q| u128::from(dfa.is_accepting(StateId(q as u32)))).collect());
-        for len in 1..=max_len {
-            let prev = &counts[len - 1];
-            let row: Vec<u128> = (0..n)
-                .map(|q| {
-                    dfa.alphabet()
-                        .symbols()
-                        .map(|s| prev[dfa.step(StateId(q as u32), s).index()])
-                        .fold(0u128, u128::saturating_add)
-                })
-                .collect();
-            counts.push(row);
+        let q = dfa.state_count();
+        let delta = (0..q)
+            .flat_map(|state| {
+                dfa.alphabet().symbols().map(move |s| dfa.step(StateId(state as u32), s).0)
+            })
+            .collect();
+        let stride = ceil_sqrt(max_len + 1);
+        let mut sampler = Self {
+            dfa: dfa.clone(),
+            max_len,
+            stride,
+            delta,
+            kept: Vec::with_capacity((max_len / stride + 1) * q),
+        };
+        let mut row: Vec<u128> =
+            (0..q).map(|state| u128::from(dfa.is_accepting(StateId(state as u32)))).collect();
+        let mut next = vec![0u128; q];
+        sampler.kept.extend_from_slice(&row);
+        // Whole blocks only: a partial last block ends below the next
+        // multiple of the stride, so no row of it is kept.
+        for _ in 0..max_len / stride {
+            for _ in 0..stride {
+                sampler.step_row(&row, &mut next);
+                std::mem::swap(&mut row, &mut next);
+            }
+            sampler.kept.extend_from_slice(&row);
         }
-        Self { dfa: dfa.clone(), counts }
+        sampler
     }
 
     /// The automaton the sampler was built from.
@@ -72,7 +103,7 @@ impl WordSampler {
     /// Highest length the tables cover.
     #[must_use]
     pub fn max_len(&self) -> usize {
-        self.counts.len() - 1
+        self.max_len
     }
 
     /// Number of accepted words of exactly length `len`.
@@ -82,35 +113,50 @@ impl WordSampler {
     /// Panics if `len > max_len`.
     #[must_use]
     pub fn count(&self, len: usize) -> u128 {
-        self.counts[len][self.dfa.start().index()]
+        let base = self.block_base(len);
+        let mut rows = Vec::new();
+        self.fill_rows(base, len, &mut rows);
+        rows[(len - base) * self.dfa.state_count() + self.dfa.start().index()]
     }
 
-    /// Samples a uniformly random accepted word of length `len`, or `None`
-    /// if no such word exists.
+    /// Samples a random accepted word of length `len`, or `None` if no
+    /// such word exists. Uniform while `count(len)` is below saturation;
+    /// see the type-level docs for longer lengths.
     ///
     /// # Panics
     ///
     /// Panics if `len > max_len`.
     pub fn sample<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Option<Word> {
-        let total = self.count(len);
+        let q = self.dfa.state_count();
+        let mut base = self.block_base(len);
+        let mut rows = Vec::with_capacity(self.stride * q);
+        self.fill_rows(base, len, &mut rows);
+        let total = rows[(len - base) * q + self.dfa.start().index()];
         if total == 0 {
             return None;
         }
         let mut target = random_u128_below(rng, total);
-        let mut word = Word::new();
-        let mut state = self.dfa.start();
+        let sigma = self.dfa.alphabet().len();
+        let mut symbols = Vec::with_capacity(len);
+        let mut state = self.dfa.start().index();
         for remaining in (0..len).rev() {
-            for s in self.dfa.alphabet().symbols() {
-                let next = self.dfa.step(state, s);
-                let ways = self.counts[remaining][next.index()];
+            if remaining < base {
+                // Walked below this block: recompute the one beneath it.
+                base -= self.stride;
+                self.fill_rows(base, remaining, &mut rows);
+            }
+            let row = &rows[(remaining - base) * q..][..q];
+            for (s, &next) in self.delta[state * sigma..][..sigma].iter().enumerate() {
+                let ways = row[next as usize];
                 if target < ways {
-                    word.push(s);
-                    state = next;
+                    symbols.push(Symbol(s as u16));
+                    state = next as usize;
                     break;
                 }
                 target -= ways;
             }
         }
+        let word = Word::from_symbols(symbols);
         debug_assert_eq!(word.len(), len);
         debug_assert!(self.dfa.accepts(&word));
         Some(word)
@@ -127,36 +173,82 @@ impl WordSampler {
     /// Panics if `len > max_len`.
     #[must_use]
     pub fn enumerate(&self, len: usize) -> Vec<Word> {
+        assert!(len <= self.max_len, "length {len} exceeds max_len {}", self.max_len);
+        // Every output word is `len` symbols long, so one full table of
+        // rows 0..len costs no more than the output it prunes for.
+        let mut rows = Vec::new();
+        self.fill_rows(0, len.saturating_sub(1), &mut rows);
         let mut out = Vec::new();
-        let mut prefix = Word::new();
-        self.enumerate_rec(self.dfa.start(), len, &mut prefix, &mut out);
+        let mut prefix = Vec::with_capacity(len);
+        self.enumerate_rec(&rows, self.dfa.start(), len, &mut prefix, &mut out);
         out
     }
 
     fn enumerate_rec(
         &self,
+        rows: &[u128],
         state: StateId,
         remaining: usize,
-        prefix: &mut Word,
+        prefix: &mut Vec<Symbol>,
         out: &mut Vec<Word>,
     ) {
         if remaining == 0 {
             if self.dfa.is_accepting(state) {
-                out.push(prefix.clone());
+                out.push(Word::from_symbols(prefix.clone()));
             }
             return;
         }
+        let q = self.dfa.state_count();
         for s in self.dfa.alphabet().symbols() {
             let next = self.dfa.step(state, s);
-            if self.counts[remaining - 1][next.index()] == 0 {
+            if rows[(remaining - 1) * q + next.index()] == 0 {
                 continue; // prune dead branches
             }
             prefix.push(s);
-            self.enumerate_rec(next, remaining - 1, prefix, out);
-            let mut symbols = prefix.symbols().to_vec();
-            symbols.pop();
-            *prefix = Word::from_symbols(symbols);
+            self.enumerate_rec(rows, next, remaining - 1, prefix, out);
+            prefix.pop();
         }
+    }
+
+    /// The kept row at or below `len`.
+    fn block_base(&self, len: usize) -> usize {
+        assert!(len <= self.max_len, "length {len} exceeds max_len {}", self.max_len);
+        len - len % self.stride
+    }
+
+    /// Replaces `rows` with DP rows `base..=top`, flattened (row
+    /// `base + i` at `[i·|Q|..]`), recomputed from the kept row `base`,
+    /// which must be a multiple of the stride.
+    fn fill_rows(&self, base: usize, top: usize, rows: &mut Vec<u128>) {
+        let q = self.dfa.state_count();
+        let k = base / self.stride;
+        rows.clear();
+        rows.extend_from_slice(&self.kept[k * q..(k + 1) * q]);
+        for _ in base..top {
+            let end = rows.len();
+            rows.resize(end + q, 0);
+            let (prev, next) = rows.split_at_mut(end);
+            self.step_row(&prev[end - q..], next);
+        }
+    }
+
+    /// One DP step: `next[state]` = Σ over symbols `s` of
+    /// `prev[δ(state, s)]`, saturating, summed in symbol order.
+    fn step_row(&self, prev: &[u128], next: &mut [u128]) {
+        let sigma = self.dfa.alphabet().len();
+        for (slot, targets) in next.iter_mut().zip(self.delta.chunks_exact(sigma)) {
+            *slot = targets.iter().map(|&t| prev[t as usize]).fold(0u128, u128::saturating_add);
+        }
+    }
+}
+
+/// Smallest `b` with `b² ≥ x`.
+fn ceil_sqrt(x: usize) -> usize {
+    let b = x.isqrt();
+    if b * b < x {
+        b + 1
+    } else {
+        b
     }
 }
 

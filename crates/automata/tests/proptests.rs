@@ -2,12 +2,15 @@
 //!
 //! The core invariants: minimization and determinization preserve the
 //! language; product constructions implement their boolean semantics;
-//! sampling only produces members.
+//! sampling only produces members. [`WordSampler`] keeps only every
+//! ⌈√(max_len+1)⌉-th row of its counting DP, so its counts, samples and
+//! enumerations are also checked against the full-table DP kept here as
+//! the reference, including at lengths where the counts saturate.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use ringleader_automata::{Alphabet, Dfa, Symbol, Word, WordSampler};
+use rand::{Rng, SeedableRng};
+use ringleader_automata::{Alphabet, Dfa, Regex, StateId, Symbol, Word, WordSampler};
 
 /// Strategy: a random complete DFA over {a,b} with up to 8 states.
 fn random_dfa() -> impl Strategy<Value = Dfa> {
@@ -24,6 +27,129 @@ fn random_dfa() -> impl Strategy<Value = Dfa> {
                     .expect("targets are in range by construction")
             })
     })
+}
+
+/// The full counting table: `table[len][state]` = number of words of
+/// length `len` leading from `state` to an accepting state, saturating at
+/// `u128::MAX`, summed in symbol order.
+fn full_table(dfa: &Dfa, max_len: usize) -> Vec<Vec<u128>> {
+    let q = dfa.state_count();
+    let mut table = vec![(0..q).map(|s| u128::from(dfa.is_accepting(StateId(s as u32)))).collect()];
+    for len in 1..=max_len {
+        let prev: &Vec<u128> = &table[len - 1];
+        let row = (0..q)
+            .map(|s| {
+                dfa.alphabet()
+                    .symbols()
+                    .map(|sym| prev[dfa.step(StateId(s as u32), sym).index()])
+                    .fold(0u128, u128::saturating_add)
+            })
+            .collect();
+        table.push(row);
+    }
+    table
+}
+
+/// The full-table sampler: one draw below the total (one `gen_range` when
+/// it fits in a `u64`, otherwise rejection on pairs of `u64`s), then a
+/// walk that picks each letter by the table's suffix counts.
+fn reference_sample(dfa: &Dfa, table: &[Vec<u128>], len: usize, rng: &mut StdRng) -> Option<Word> {
+    let total = table[len][dfa.start().index()];
+    if total == 0 {
+        return None;
+    }
+    let mut target = match u64::try_from(total) {
+        Ok(small) => u128::from(rng.gen_range(0..small)),
+        Err(_) => loop {
+            let v = (u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>());
+            if v < u128::MAX - (u128::MAX % total) {
+                break v % total;
+            }
+        },
+    };
+    let mut word = Word::new();
+    let mut state = dfa.start();
+    for remaining in (0..len).rev() {
+        for s in dfa.alphabet().symbols() {
+            let next = dfa.step(state, s);
+            let ways = table[remaining][next.index()];
+            if target < ways {
+                word.push(s);
+                state = next;
+                break;
+            }
+            target -= ways;
+        }
+    }
+    Some(word)
+}
+
+/// Every accepted word of length `len` in symbol order, pruned by the
+/// full table.
+fn reference_enumerate(dfa: &Dfa, table: &[Vec<u128>], len: usize) -> Vec<Word> {
+    fn walk(
+        dfa: &Dfa,
+        table: &[Vec<u128>],
+        state: StateId,
+        remaining: usize,
+        prefix: &mut Vec<Symbol>,
+        out: &mut Vec<Word>,
+    ) {
+        if remaining == 0 {
+            if dfa.is_accepting(state) {
+                out.push(Word::from_symbols(prefix.clone()));
+            }
+            return;
+        }
+        for s in dfa.alphabet().symbols() {
+            let next = dfa.step(state, s);
+            if table[remaining - 1][next.index()] > 0 {
+                prefix.push(s);
+                walk(dfa, table, next, remaining - 1, prefix, out);
+                prefix.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dfa, table, dfa.start(), len, &mut Vec::new(), &mut out);
+    out
+}
+
+/// The sampler's block edges for `max_len`: with `B = ⌈√(max_len+1)⌉`,
+/// lengths 0, 1, B−1, B, B+1, 2B−1, 2B, B², B²+1 and `max_len` itself,
+/// where they do not exceed `max_len`.
+fn block_edges(max_len: usize) -> Vec<usize> {
+    let mut b = 1;
+    while b * b < max_len + 1 {
+        b += 1;
+    }
+    let mut lens = vec![0, 1, b - 1, b, b + 1, 2 * b - 1, 2 * b, b * b, b * b + 1, max_len];
+    lens.retain(|&len| len <= max_len);
+    lens.sort_unstable();
+    lens.dedup();
+    lens
+}
+
+/// Asserts `count` at every length up to `max_len`, and `sample` (same
+/// seed, same word, same draws) and, where the language is small enough,
+/// `enumerate` at every length in `lens`, agree with the full table.
+fn assert_matches_full_table(dfa: &Dfa, max_len: usize, lens: &[usize], seed: u64) {
+    let sampler = WordSampler::new(dfa, max_len);
+    let table = full_table(dfa, max_len);
+    for (len, row) in table.iter().enumerate() {
+        assert_eq!(sampler.count(len), row[dfa.start().index()], "count({len}), max_len {max_len}");
+    }
+    for &len in lens {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        let word = sampler.sample(len, &mut rng);
+        let expected = reference_sample(dfa, &table, len, &mut reference_rng);
+        assert_eq!(word, expected, "sample({len}), max_len {max_len}, seed {seed}");
+        assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "draws diverged");
+        if table[len][dfa.start().index()] <= 256 {
+            assert_eq!(sampler.enumerate(len), reference_enumerate(dfa, &table, len));
+        }
+    }
 }
 
 /// Strategy: a random word over {a,b} up to length 12.
@@ -118,19 +244,33 @@ proptest! {
             sum = sum.saturating_add(WordSampler::new(&shifted, len - 1).count(len - 1));
         }
         prop_assert_eq!(total, sum);
+        prop_assert_eq!(total, full_table(&dfa, len)[len][dfa.start().index()]);
     }
 
     #[test]
     fn samples_are_members(dfa in random_dfa(), len in 0usize..14, seed: u64) {
         let sampler = WordSampler::new(&dfa, len);
         let mut rng = StdRng::seed_from_u64(seed);
-        match sampler.sample(len, &mut rng) {
+        let sampled = sampler.sample(len, &mut rng);
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        let expected = reference_sample(&dfa, &full_table(&dfa, len), len, &mut reference_rng);
+        prop_assert_eq!(&sampled, &expected);
+        match sampled {
             Some(w) => {
                 prop_assert_eq!(w.len(), len);
                 prop_assert!(dfa.accepts(&w));
             }
             None => prop_assert_eq!(sampler.count(len), 0),
         }
+    }
+
+    #[test]
+    fn sampler_matches_full_table_at_block_edges(
+        dfa in random_dfa(),
+        max_len in 0usize..300,
+        seed: u64,
+    ) {
+        assert_matches_full_table(&dfa, max_len, &block_edges(max_len), seed);
     }
 
     #[test]
@@ -142,4 +282,29 @@ proptest! {
         let composed = dfa.run_from(mid, &v);
         prop_assert_eq!(direct, composed);
     }
+}
+
+/// Block edges for several `max_len` (perfect squares and their
+/// neighbours among them), on languages whose binary counts saturate
+/// beyond length 128: the kept-row sampler must reproduce the full
+/// table's saturated counts, and the words they steer, bit for bit.
+#[test]
+fn sampler_matches_full_table_including_saturation() {
+    let sigma = Alphabet::from_chars("ab").unwrap();
+    let max_lens =
+        [0usize, 1, 2, 3, 8, 15, 16, 17, 24, 63, 64, 127, 128, 129, 143, 144, 145, 200, 300];
+    for pattern in ["(a|b)*abb", "(ab)*", "a*b*", "(a|b)*", "(a|b)*a(a|b)(a|b)"] {
+        let dfa = Regex::parse(pattern, &sigma).unwrap().compile().minimized();
+        for max_len in max_lens {
+            for seed in [1u64, 0xC0FFEE] {
+                assert_matches_full_table(&dfa, max_len, &block_edges(max_len), seed);
+                assert_matches_full_table(&dfa.complement(), max_len, &block_edges(max_len), seed);
+            }
+        }
+    }
+    // The saturation the comparison above covers is real: 2^200 words.
+    let universal = Regex::parse("(a|b)*", &sigma).unwrap().compile();
+    let sampler = WordSampler::new(&universal, 200);
+    assert_eq!(sampler.count(200), u128::MAX);
+    assert_eq!(sampler.count(127), 1u128 << 127);
 }

@@ -7,6 +7,9 @@
 //!
 //! * `one_pass` — unidirectional single token (`DfaOnePass`): exactly one
 //!   link is ever non-empty, the best case for the single-link fast path.
+//!   It also runs at n = 65536, where a per-run cost that grows with the
+//!   ring (rather than with the traffic in flight) would show: CI gates
+//!   its ns per delivery at ≤ 1.5× the n = 512 figure (`BENCH_0009.json`).
 //! * `bidir_collision` — `BidirMeetInMiddle` probes crossing in both
 //!   directions: two active links, exercises the index under churn.
 //! * `quadratic_stateless` — the Theorem 3 stateless replay
@@ -24,6 +27,9 @@
 //!   each arc its whole traversal in one command, so this now measures
 //!   the residual coordination gap (`BENCH_0006.json`). CI's perf-smoke
 //!   gate keeps it from regressing back to per-delivery round-trips.
+//! * `sampler` — word generation for those runs: `DfaLanguage`'s
+//!   positive and negative examples of `(a|b)*abb` at n ∈ {4096, 65536},
+//!   which price `WordSampler`'s counting DP (`BENCH_0009.json`).
 //! * `metered` — the one-pass workload with an enabled metrics registry
 //!   attached (`on/<n>`) vs its unmetered twin (`off/<n>`), timed
 //!   back-to-back: prices the observability layer itself. CI gates `on`
@@ -61,10 +67,30 @@ fn bench_one_pass(c: &mut Criterion) {
     let lang = DfaLanguage::from_regex("(a|b)*abb", &sigma).unwrap();
     let proto = DfaOnePass::new(&lang);
     let mut group = c.benchmark_group("engine_hot_loop/one_pass");
-    for n in SIZES {
+    for n in SIZES.into_iter().chain([65536]) {
         let word = word_for(&lang, n, 0xE0);
         group.bench_with_input(BenchmarkId::from_parameter(n), &word, |b, w| {
             b.iter(|| RingRunner::new().run(&proto, w).unwrap());
+        });
+    }
+    group.finish();
+}
+
+/// Word generation: one positive and one negative example of
+/// `(a|b)*abb` per iteration, each building a `WordSampler` over the
+/// language's DFA (or its complement) and walking it once.
+fn bench_sampler(c: &mut Criterion) {
+    let sigma = ringleader_automata::Alphabet::from_chars("ab").unwrap();
+    let lang = DfaLanguage::from_regex("(a|b)*abb", &sigma).unwrap();
+    let mut group = c.benchmark_group("engine_hot_loop/sampler");
+    for n in [4096usize, 65536] {
+        group.bench_function(BenchmarkId::new("positive", n), |b| {
+            let mut rng = StdRng::seed_from_u64(0xE4);
+            b.iter(|| lang.positive_example(n, &mut rng).unwrap());
+        });
+        group.bench_function(BenchmarkId::new("negative", n), |b| {
+            let mut rng = StdRng::seed_from_u64(0xE4);
+            b.iter(|| lang.negative_example(n, &mut rng).unwrap());
         });
     }
     group.finish();
@@ -350,6 +376,7 @@ fn bench_trace_ring(c: &mut Criterion) {
 criterion_group!(
     engine_hot_loop,
     bench_one_pass,
+    bench_sampler,
     bench_one_pass_sharded,
     bench_bidir_collision,
     bench_quadratic_stateless,

@@ -1,15 +1,12 @@
 //! The discrete-event execution engine.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use ringleader_automata::Word;
-use ringleader_bitio::BitString;
 use ringleader_obs::Metrics;
 
 use crate::checkpoint::{EngineSnapshot, RunPhase, SNAPSHOT_VERSION};
 use crate::context::{Context, Process, Protocol};
 use crate::faults::FaultPlan;
-use crate::sched::LinkIndex;
+use crate::sched::Links;
 use crate::trace::{EventKind, Trace, TraceEvent, TraceRing, TraceSink};
 use crate::{Direction, ExecStats, Scheduler, SimError, Topology};
 
@@ -284,7 +281,7 @@ impl RingRunner {
             None => (self.scheduler.clone(), self.known_ring_size, self.max_events),
         };
 
-        let mut links = Links::new(n, scheduler.build_index(2 * n));
+        let mut links: Links = Links::new(2 * n, &scheduler);
         let mut stats;
         let mut sink;
         let mut seq: u64;
@@ -313,7 +310,7 @@ impl RingRunner {
                 }
             }
             if let Some(state) = &snap.rng {
-                links.index.import_rng(state);
+                links.import_rng(state);
             }
             stats = snap.stats.clone();
             sink = TraceSink { trace: snap.trace.clone(), ring: snap.ring.clone() };
@@ -518,125 +515,12 @@ fn capture_serial(
         deliveries,
         position_deliveries: position_deliveries.to_vec(),
         stats: stats.clone(),
-        links: (0..links.backlog.len()).map(|link| links.queue_contents(link)).collect(),
-        rng: links.index.export_rng(),
+        links: (0..links.link_count()).map(|link| links.queue_contents(link)).collect(),
+        rng: links.export_rng(),
         processes: proc_states,
         trace: sink.trace.clone(),
         ring: sink.ring.clone(),
     })
-}
-
-/// The link queues plus the scheduler's incrementally maintained view of
-/// them, laid out structure-of-arrays.
-///
-/// The hot fields — each link's head sequence number, backlog, and head
-/// payload — live in three dense parallel vectors, so the per-delivery
-/// path (`choose` → `pop` → `push`) touches a handful of cache lines
-/// even at n = 10⁶, instead of hopping through per-link `VecDeque`
-/// headers. Links holding more than one message (rare outside burst
-/// workloads) spill their tail into a side table keyed by link id.
-///
-/// Every queue mutation flows through [`push`](Links::push) /
-/// [`pop`](Links::pop) so the [`LinkIndex`] stays exactly in sync; the
-/// occupancy count and the xor of non-empty link ids make the unique
-/// non-empty link recoverable in O(1) for the single-link fast path —
-/// the common case for unidirectional one-pass protocols, where at most
-/// one message is ever in flight.
-///
-/// Link ids: 0..n are clockwise links (i → i+1 mod n); n..2n are
-/// counter-clockwise links (i+1 → i, stored at n + i).
-struct Links {
-    /// Sequence number of each link's head message; meaningful only
-    /// while `backlog[link] > 0`.
-    head_seq: Vec<u64>,
-    /// Queued-message count per link.
-    backlog: Vec<u32>,
-    /// Payload of each link's head message; an empty placeholder while
-    /// the link is empty.
-    head_payload: Vec<BitString>,
-    /// Tail entries (everything behind the head) for links with backlog
-    /// ≥ 2, front first.
-    overflow: BTreeMap<usize, VecDeque<(u64, BitString)>>,
-    index: Box<dyn LinkIndex>,
-    /// Number of non-empty links.
-    occupied: usize,
-    /// Xor of the ids of all non-empty links; equals the unique non-empty
-    /// link's id whenever `occupied == 1`.
-    id_xor: usize,
-}
-
-impl Links {
-    fn new(n: usize, index: Box<dyn LinkIndex>) -> Self {
-        Self {
-            head_seq: vec![0; 2 * n],
-            backlog: vec![0; 2 * n],
-            head_payload: vec![BitString::new(); 2 * n],
-            overflow: BTreeMap::new(),
-            index,
-            occupied: 0,
-            id_xor: 0,
-        }
-    }
-
-    fn push(&mut self, link: usize, seq: u64, payload: BitString) {
-        if self.backlog[link] == 0 {
-            self.head_seq[link] = seq;
-            self.head_payload[link] = payload;
-            self.occupied += 1;
-            self.id_xor ^= link;
-        } else {
-            self.overflow.entry(link).or_default().push_back((seq, payload));
-        }
-        self.backlog[link] += 1;
-        self.index.on_push(link, seq, self.backlog[link] as usize);
-    }
-
-    /// The scheduling policy's pick, or `None` when the ring is quiescent.
-    /// Skips the index when only one link is non-empty.
-    fn choose(&mut self) -> Option<usize> {
-        match self.occupied {
-            0 => None,
-            1 => {
-                self.index.on_trivial_choose();
-                Some(self.id_xor)
-            }
-            _ => Some(self.index.choose()),
-        }
-    }
-
-    fn pop(&mut self, link: usize) -> BitString {
-        let backlog = self.backlog[link].checked_sub(1).expect("chosen link non-empty");
-        self.backlog[link] = backlog;
-        if backlog == 0 {
-            self.occupied -= 1;
-            self.id_xor ^= link;
-            self.index.on_pop(link, None, 0);
-            std::mem::take(&mut self.head_payload[link])
-        } else {
-            let tail = self.overflow.get_mut(&link).expect("backlog ≥ 2 spills to overflow");
-            let (next_seq, next_payload) = tail.pop_front().expect("overflow entry non-empty");
-            if tail.is_empty() {
-                self.overflow.remove(&link);
-            }
-            let payload = std::mem::replace(&mut self.head_payload[link], next_payload);
-            self.head_seq[link] = next_seq;
-            self.index.on_pop(link, Some(next_seq), backlog as usize);
-            payload
-        }
-    }
-
-    /// Front-to-back contents of `link`, for checkpoint capture.
-    fn queue_contents(&self, link: usize) -> Vec<(u64, BitString)> {
-        if self.backlog[link] == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.backlog[link] as usize);
-        out.push((self.head_seq[link], self.head_payload[link].clone()));
-        if let Some(tail) = self.overflow.get(&link) {
-            out.extend(tail.iter().cloned());
-        }
-        out
-    }
 }
 
 /// Applies a handler's buffered sends/decision, draining the context for
@@ -686,6 +570,7 @@ mod tests {
     use super::*;
     use crate::context::{ProcessResult, Protocol};
     use ringleader_automata::{Alphabet, Symbol};
+    use ringleader_bitio::BitString;
 
     /// Forwards any message onward; used as the default follower.
     struct Forwarder;

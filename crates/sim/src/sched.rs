@@ -12,27 +12,44 @@
 //! non-empty ones and then apply the policy — O(n) engine overhead *per
 //! event*, an extra factor of `n` on exactly the large rings where the
 //! paper's Θ(n log n)-bit protocols get interesting. Instead, every policy
-//! here is a stateful [`LinkIndex`]: the engine notifies it on each queue
-//! transition (`on_push` / `on_pop`) and asks `choose()` for the next
-//! link, which each policy answers in O(1) or O(log n):
+//! here is a stateful [`LinkIndex`] that [`Links`] keeps in sync with the
+//! queues (`on_push` / `on_pop`) and asks `choose()` for the next link,
+//! which each policy answers in O(1) or O(log n):
 //!
 //! * [`Scheduler::Fifo`] — a monotone **min-heap** keyed by the head
 //!   message's global sequence number. A link owns exactly one heap entry
-//!   while non-empty; a pop replaces the entry with the link's next head
+//!   while tracked; a pop replaces the entry with the link's next head
 //!   (whose seq is strictly larger), so lazy deletion is never needed.
 //! * [`Scheduler::LongestQueue`] — **backlog buckets**: `buckets[b]` holds
 //!   the ids of links with backlog `b` (an ordered set, because ties break
 //!   towards the lowest id). Pushes and pops move a link one bucket up or
-//!   down; the maximum backlog changes by at most one per operation, so
-//!   tracking it is amortized O(1).
+//!   down; tracking the maximum is amortized O(1).
 //! * [`Scheduler::Random`] — a **Fenwick (binary indexed) tree** over link
-//!   ids storing 1 for each non-empty link. `choose()` draws `k` and finds
-//!   the `k`-th smallest non-empty id by binary descent. The tree — rather
+//!   ids storing 1 for each tracked link. `choose()` draws `k` and finds
+//!   the `k`-th smallest tracked id by binary descent. The tree — rather
 //!   than a dense swap-remove vector — is what keeps the policy
 //!   *byte-identical* to the historical scan implementation: the scan
 //!   indexed into the id-sorted list of non-empty links, so the `k`-th
 //!   pick must be the `k`-th smallest id, an order a swap-remove vector
 //!   does not maintain.
+//!
+//! # The index only runs under contention
+//!
+//! One-pass protocols keep exactly one message in flight, so most
+//! deliveries have a single candidate. [`Links`] tracks that case itself
+//! (an occupancy count and the xor of non-empty link ids) and notifies
+//! the index only while two or more links are non-empty. When occupancy
+//! falls 2→1 the survivor stays in the index, *parked*. When occupancy
+//! goes 1→2 again, `Links` [`evict`](LinkIndex::evict)s the parked link
+//! and [`admit`](LinkIndex::admit)s the lone one, with whatever backlog
+//! it built up meanwhile; both are skipped when no queue changed since
+//! the survivor was parked. Two tokens that take turns emptying one link
+//! and opening the next (the bidirectional protocols) thus cost the index
+//! one pop and one push per delivery, not an evict and an admit on top.
+//! Picks with one candidate call
+//! [`on_trivial_choose`](LinkIndex::on_trivial_choose) instead, so
+//! `Random` consumes the same RNG stream either way and every pick is the
+//! one a fully notified index would make.
 //!
 //! # Oracle testing
 //!
@@ -40,24 +57,26 @@
 //! ([`testkit::NaiveChooser`], `#[doc(hidden)]`, compiled only for tests
 //! and the scheduler-equivalence suite): given the full list of non-empty
 //! links it picks exactly what the seed engine picked. Property tests
-//! (`crates/sim/tests/sched_equiv.rs`) drive both implementations through
+//! (`crates/sim/tests/sched_equiv.rs`) drive both a fully notified index
+//! and the real [`Links`] (with its admit/evict bypass) through
 //! randomized push/deliver schedules and assert the chosen link sequences
 //! are identical for every policy, and the engine's own determinism suite
 //! pins full-run equivalence. Each index also counts its elementary
 //! operations ([`LinkIndex::index_ops`]) so tests can assert the
 //! per-event cost stays O(log n) instead of O(n).
 //!
-//! The sharded engine (`crate::shard`) leans on the same abstraction
-//! from the other side: its coordinator replays a payload-free replica
-//! of the link state through a second `LinkIndex` instance, so the
-//! merged delivery order *is* this module's pick order — one policy
-//! implementation, shared by both engines, checked against one oracle.
+//! The sharded engine (`crate::shard`) leans on the same code from the
+//! other side: its coordinator replays a payload-free `Links<()>` replica
+//! of the link state, so the merged delivery order *is* this module's
+//! pick order — one policy implementation, shared by both engines,
+//! checked against one oracle.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ringleader_bitio::BitString;
 use serde::{Deserialize, Serialize};
 
 /// Policy choosing the next link to deliver from.
@@ -84,26 +103,35 @@ impl Scheduler {
     /// Builds the incremental index for a ring with `links` link queues.
     pub(crate) fn build_index(&self, links: usize) -> Box<dyn LinkIndex> {
         match self {
-            Scheduler::Fifo => Box::new(FifoIndex::new(links)),
+            Scheduler::Fifo => Box::new(FifoIndex::new()),
             Scheduler::Random { seed } => Box::new(RandomIndex::new(links, *seed)),
-            Scheduler::LongestQueue => Box::new(LongestQueueIndex::new(links)),
+            Scheduler::LongestQueue => Box::new(LongestQueueIndex::new()),
         }
     }
 }
 
-/// An incrementally maintained index over the non-empty links.
+/// An incrementally maintained index over a set of *tracked* links.
 ///
-/// The engine owns one `LinkIndex` per run and keeps it in sync with the
-/// link queues: [`on_push`](LinkIndex::on_push) after every enqueue,
-/// [`on_pop`](LinkIndex::on_pop) after every dequeue. Between updates,
-/// [`choose`](LinkIndex::choose) returns the policy's pick among the
-/// currently non-empty links without scanning them.
+/// A link becomes tracked when [`on_push`](LinkIndex::on_push) reports
+/// backlog 1 or when it is [`admit`](LinkIndex::admit)ted, and stops being
+/// tracked when [`on_pop`](LinkIndex::on_pop) reports backlog 0 or when it
+/// is [`evict`](LinkIndex::evict)ed. [`choose`](LinkIndex::choose) returns
+/// the policy's pick among the tracked links without scanning them.
 ///
-/// Contract (upheld by the engine, asserted in debug builds):
+/// [`Links`] owns one `LinkIndex` per run and notifies it only while two
+/// or more links are non-empty, so the tracked set is then exactly the
+/// non-empty links; otherwise it holds at most one parked link, which
+/// `Links` evicts before the index is next asked to choose. A caller that
+/// notifies every queue operation and never admits or evicts (as the
+/// scheduler-equivalence suite does) gets the same picks.
+///
+/// Contract (upheld by [`Links`], asserted in debug builds):
 ///
 /// * notifications report the queue state *after* the operation;
-/// * the engine only pops the link most recently returned by `choose`
-///   (or the unique non-empty link, via the single-link fast path).
+/// * only the link most recently returned by `choose` is popped while
+///   tracked;
+/// * `admit` is called only while no link is tracked, and `evict` only on
+///   the one link still tracked.
 ///
 /// This trait is public only so the scheduler-equivalence tests can drive
 /// implementations directly; it is not part of the supported API.
@@ -118,12 +146,19 @@ pub trait LinkIndex {
     /// `backlog`.
     fn on_pop(&mut self, link: usize, next_head_seq: Option<u64>, backlog: usize);
 
-    /// The policy's pick among the non-empty links. Must not be called
-    /// while every link is empty.
+    /// The policy's pick among the tracked links. Must not be called
+    /// while no link is tracked.
     fn choose(&mut self) -> usize;
 
+    /// Starts tracking `link`, which already holds `backlog` (≥ 1)
+    /// messages, the oldest with sequence number `head_seq`.
+    fn admit(&mut self, link: usize, head_seq: u64, backlog: usize);
+
+    /// Stops tracking `link`, which still holds `backlog` (≥ 1) messages.
+    fn evict(&mut self, link: usize, backlog: usize);
+
     /// Invoked *instead of* [`choose`](LinkIndex::choose) when exactly one
-    /// link is non-empty and the engine short-circuits the pick. Policies
+    /// link is non-empty and [`Links`] short-circuits the pick. Policies
     /// whose choice has side effects (the random policy consumes RNG
     /// state) replicate them here so executions stay identical with and
     /// without the fast path.
@@ -163,8 +198,8 @@ struct FifoIndex {
 }
 
 impl FifoIndex {
-    fn new(links: usize) -> Self {
-        Self { heap: BinaryHeap::with_capacity(links), ops: 0 }
+    fn new() -> Self {
+        Self { heap: BinaryHeap::new(), ops: 0 }
     }
 }
 
@@ -190,7 +225,21 @@ impl LinkIndex for FifoIndex {
 
     fn choose(&mut self) -> usize {
         self.ops += 1;
-        self.heap.peek().expect("choose() requires a non-empty link").0 .1
+        self.heap.peek().expect("choose() requires a tracked link").0 .1
+    }
+
+    fn admit(&mut self, link: usize, head_seq: u64, _backlog: usize) {
+        self.ops += 1;
+        self.heap.push(Reverse((head_seq, link)));
+    }
+
+    fn evict(&mut self, link: usize, _backlog: usize) {
+        self.ops += 1;
+        // The evicted link is the only one tracked, hence the heap's only
+        // entry.
+        let last = self.heap.pop().expect("evict() requires a tracked link");
+        debug_assert_eq!(last.0 .1, link, "evicted link must be the last tracked one");
+        debug_assert!(self.heap.is_empty(), "evict() with other links still tracked");
     }
 
     fn index_ops(&self) -> u64 {
@@ -209,7 +258,7 @@ struct LongestQueueIndex {
 }
 
 impl LongestQueueIndex {
-    fn new(_links: usize) -> Self {
+    fn new() -> Self {
         Self { buckets: vec![BTreeSet::new(); 2], max_backlog: 0, ops: 0 }
     }
 
@@ -225,6 +274,16 @@ impl LongestQueueIndex {
             self.buckets[to].insert(link);
         }
     }
+
+    /// Lowers `max_backlog` to the largest non-empty bucket. Each step is
+    /// paid for by an earlier push that raised some link's backlog (an
+    /// admitted link's backlog counts the pushes it took while untracked).
+    fn settle_max(&mut self) {
+        while self.max_backlog > 0 && self.buckets[self.max_backlog].is_empty() {
+            self.max_backlog -= 1;
+            self.ops += 1;
+        }
+    }
 }
 
 impl LinkIndex for LongestQueueIndex {
@@ -237,17 +296,24 @@ impl LinkIndex for LongestQueueIndex {
     fn on_pop(&mut self, link: usize, _next_head_seq: Option<u64>, backlog: usize) {
         self.ops += 1;
         self.move_link(link, backlog + 1, backlog);
-        // The maximum drops by at most one per pop; each loop iteration
-        // here is paid for by the push that raised max_backlog earlier.
-        while self.max_backlog > 0 && self.buckets[self.max_backlog].is_empty() {
-            self.max_backlog -= 1;
-            self.ops += 1;
-        }
+        self.settle_max();
     }
 
     fn choose(&mut self) -> usize {
         self.ops += 1;
-        *self.buckets[self.max_backlog].iter().next().expect("choose() requires a non-empty link")
+        *self.buckets[self.max_backlog].iter().next().expect("choose() requires a tracked link")
+    }
+
+    fn admit(&mut self, link: usize, _head_seq: u64, backlog: usize) {
+        self.ops += 1;
+        self.move_link(link, 0, backlog);
+        self.max_backlog = self.max_backlog.max(backlog);
+    }
+
+    fn evict(&mut self, link: usize, backlog: usize) {
+        self.ops += 1;
+        self.move_link(link, backlog, 0);
+        self.settle_max();
     }
 
     fn index_ops(&self) -> u64 {
@@ -267,7 +333,7 @@ struct RandomIndex {
     /// 1-based Fenwick tree over link ids; `tree[i]` covers a power-of-two
     /// span of links ending at id `i - 1`.
     tree: Vec<u32>,
-    /// Number of currently non-empty links.
+    /// Number of currently tracked links.
     occupied: usize,
     /// Largest power of two ≤ tree span, the descent's starting stride.
     top_stride: usize,
@@ -335,6 +401,16 @@ impl LinkIndex for RandomIndex {
         self.select(k)
     }
 
+    fn admit(&mut self, link: usize, _head_seq: u64, _backlog: usize) {
+        self.update(link, 1);
+        self.occupied += 1;
+    }
+
+    fn evict(&mut self, link: usize, _backlog: usize) {
+        self.update(link, -1);
+        self.occupied -= 1;
+    }
+
     fn on_trivial_choose(&mut self) {
         // The scan implementation drew `gen_range(0..1)` even with a single
         // candidate; consume the identical RNG state so executions with the
@@ -361,8 +437,240 @@ impl LinkIndex for RandomIndex {
     }
 }
 
+/// The link queues plus the scheduler's index over them.
+///
+/// Per-run storage follows the traffic in flight, not the ring size. Each
+/// link keeps its backlog and a `u32` slot into `heads`, a slab of the
+/// in-flight head messages whose freed entries are recycled through
+/// `free`. Messages queued behind a head (rare outside burst workloads)
+/// spill into `overflow`, keyed by link id. A one-token protocol therefore
+/// costs 8 bytes per link plus a one-entry slab, and every delivery
+/// reuses the same slab entry.
+///
+/// Every queue mutation flows through [`push`](Links::push) /
+/// [`pop`](Links::pop). The occupancy count and the xor of non-empty link
+/// ids make the lone non-empty link recoverable in O(1), so the
+/// [`LinkIndex`] is notified only while two or more links are non-empty;
+/// when occupancy falls to one, the survivor stays parked in the index
+/// (see the module docs).
+///
+/// `P` is the payload type: the serial engine queues [`BitString`]s, the
+/// sharded engine's coordinator a payload-free `()` replica.
+///
+/// Link ids: 0..n are clockwise links (i → i+1 mod n); n..2n are
+/// counter-clockwise links (i+1 → i, stored at n + i).
+#[doc(hidden)]
+pub struct Links<P = BitString> {
+    /// Queued-message count per link.
+    backlog: Vec<u32>,
+    /// Each link's entry in `heads`; meaningful only while its backlog is
+    /// non-zero.
+    slot: Vec<u32>,
+    /// `(seq, payload)` of the head message of every non-empty link, plus
+    /// freed entries awaiting reuse.
+    heads: Vec<(u64, P)>,
+    /// Indices of freed `heads` entries.
+    free: Vec<u32>,
+    /// Tail entries (everything behind the head) for links with backlog
+    /// ≥ 2, front first.
+    overflow: BTreeMap<usize, VecDeque<(u64, P)>>,
+    index: Box<dyn LinkIndex>,
+    /// Number of non-empty links.
+    occupied: usize,
+    /// Xor of the ids of all non-empty links; equals the unique non-empty
+    /// link's id whenever `occupied == 1`.
+    id_xor: usize,
+    /// The link the index still tracks while fewer than two links are
+    /// non-empty, with the backlog the index knows for it; `None` when the
+    /// index tracks nothing or two or more links are non-empty.
+    parked: Option<(usize, usize)>,
+    /// No queue has changed since the parked link was parked.
+    parked_fresh: bool,
+}
+
+impl<P: Default> Links<P> {
+    /// Empty queues for `links` links, picked by `scheduler`.
+    #[must_use]
+    pub fn new(links: usize, scheduler: &Scheduler) -> Self {
+        Self {
+            backlog: vec![0; links],
+            slot: vec![0; links],
+            heads: Vec::new(),
+            free: Vec::new(),
+            overflow: BTreeMap::new(),
+            index: scheduler.build_index(links),
+            occupied: 0,
+            id_xor: 0,
+            parked: None,
+            parked_fresh: false,
+        }
+    }
+
+    /// Number of link queues.
+    #[must_use]
+    pub fn link_count(&self) -> usize {
+        self.backlog.len()
+    }
+
+    /// Number of non-empty links.
+    #[must_use]
+    pub fn occupied(&self) -> usize {
+        self.occupied
+    }
+
+    /// Number of messages queued on `link`.
+    #[must_use]
+    pub fn backlog(&self, link: usize) -> usize {
+        self.backlog[link] as usize
+    }
+
+    /// Sequence number of `link`'s head message; `link` must be non-empty.
+    #[must_use]
+    pub fn head_seq(&self, link: usize) -> u64 {
+        debug_assert!(self.backlog[link] > 0, "head_seq of empty link {link}");
+        self.heads[self.slot[link] as usize].0
+    }
+
+    /// Enqueues `payload`, sent with global sequence number `seq`, on
+    /// `link`.
+    pub fn push(&mut self, link: usize, seq: u64, payload: P) {
+        let backlog = self.backlog[link] + 1;
+        self.backlog[link] = backlog;
+        if backlog > 1 {
+            self.overflow.entry(link).or_default().push_back((seq, payload));
+            if self.occupied >= 2 {
+                self.index.on_push(link, seq, backlog as usize);
+            } else {
+                self.parked_fresh = false;
+            }
+            return;
+        }
+        self.slot[link] = match self.free.pop() {
+            Some(slot) => {
+                self.heads[slot as usize] = (seq, payload);
+                slot
+            }
+            None => {
+                self.heads.push((seq, payload));
+                u32::try_from(self.heads.len() - 1).expect("fewer than 2^32 links in flight")
+            }
+        };
+        self.occupied += 1;
+        match self.occupied {
+            1 => self.parked_fresh = false,
+            2 => {
+                // A second link opened: bring the index up to date on the
+                // lone one, unless it is parked there unchanged.
+                let lone = self.id_xor;
+                match self.parked.take() {
+                    Some((parked, _)) if self.parked_fresh => debug_assert_eq!(parked, lone),
+                    stale => {
+                        if let Some((parked, backlog)) = stale {
+                            self.index.evict(parked, backlog);
+                        }
+                        let (head_seq, backlog) = (self.head_seq(lone), self.backlog(lone));
+                        self.index.admit(lone, head_seq, backlog);
+                    }
+                }
+            }
+            _ => {}
+        }
+        if self.occupied >= 2 {
+            self.index.on_push(link, seq, 1);
+        }
+        self.id_xor ^= link;
+    }
+
+    /// The scheduling policy's pick, or `None` when the ring is quiescent.
+    /// Skips the index when only one link is non-empty.
+    pub fn choose(&mut self) -> Option<usize> {
+        match self.occupied {
+            0 => None,
+            1 => {
+                self.index.on_trivial_choose();
+                Some(self.id_xor)
+            }
+            _ => Some(self.index.choose()),
+        }
+    }
+
+    /// Dequeues the head message of `link`, the link last returned by
+    /// [`choose`](Links::choose).
+    pub fn pop(&mut self, link: usize) -> P {
+        let backlog = self.backlog[link].checked_sub(1).expect("chosen link non-empty");
+        self.backlog[link] = backlog;
+        let tracked = self.occupied >= 2;
+        let slot = self.slot[link];
+        let head = &mut self.heads[slot as usize];
+        if backlog > 0 {
+            let tail = self.overflow.get_mut(&link).expect("backlog ≥ 2 spills to overflow");
+            let (next_seq, next_payload) = tail.pop_front().expect("overflow entry non-empty");
+            if tail.is_empty() {
+                self.overflow.remove(&link);
+            }
+            head.0 = next_seq;
+            let payload = std::mem::replace(&mut head.1, next_payload);
+            if tracked {
+                self.index.on_pop(link, Some(next_seq), backlog as usize);
+            } else {
+                self.parked_fresh = false;
+            }
+            return payload;
+        }
+        let payload = std::mem::take(&mut head.1);
+        self.free.push(slot);
+        self.occupied -= 1;
+        self.id_xor ^= link;
+        if tracked {
+            self.index.on_pop(link, None, 0);
+            if self.occupied == 1 {
+                // Back to one non-empty link: park it in the index.
+                let lone = self.id_xor;
+                self.parked = Some((lone, self.backlog(lone)));
+                self.parked_fresh = true;
+            }
+        } else {
+            self.parked_fresh = false;
+        }
+        payload
+    }
+
+    /// Cumulative elementary operations of the scheduler index.
+    #[must_use]
+    pub fn index_ops(&self) -> u64 {
+        self.index.index_ops()
+    }
+
+    /// The index's RNG state, for a checkpoint.
+    #[must_use]
+    pub fn export_rng(&self) -> Option<Vec<u64>> {
+        self.index.export_rng()
+    }
+
+    /// Restores RNG state exported by [`export_rng`](Links::export_rng).
+    pub fn import_rng(&mut self, state: &[u64]) {
+        self.index.import_rng(state);
+    }
+}
+
+impl<P: Default + Clone> Links<P> {
+    /// Front-to-back contents of `link`, for checkpoint capture.
+    #[must_use]
+    pub fn queue_contents(&self, link: usize) -> Vec<(u64, P)> {
+        if self.backlog[link] == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(self.backlog[link] as usize);
+        out.push(self.heads[self.slot[link] as usize].clone());
+        if let Some(tail) = self.overflow.get(&link) {
+            out.extend(tail.iter().cloned());
+        }
+        out
+    }
+}
+
 /// Test-support surface: the retained naive-scan oracle and direct access
-/// to the incremental indexes.
+/// to the incremental indexes and the link queues.
 ///
 /// Everything here exists for the scheduler-equivalence property tests
 /// (`crates/sim/tests/sched_equiv.rs`) and the soak benches; it is
@@ -370,6 +678,7 @@ impl LinkIndex for RandomIndex {
 /// change shape in any release.
 #[doc(hidden)]
 pub mod testkit {
+    pub use super::Links;
     use super::{LinkIndex, Scheduler};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -15,8 +15,8 @@
 //! observable in a run's result: the [`ExecStats`], the [`Trace`], the
 //! global event sequence, the delivery count, and — crucially — the
 //! scheduling decisions. It maintains [`MetaLinks`], a payload-free
-//! replica of the serial engine's link state driven by the same
-//! [`LinkIndex`], and commands deliveries through two merge paths:
+//! replica of the serial engine's link state built on the same
+//! [`Links`], and commands deliveries through two merge paths:
 //!
 //! * **Epochs** (the fast path, every policy). Whenever every non-empty
 //!   link is owned (receiver-side) by a single shard — the steady state
@@ -107,7 +107,7 @@ use crate::context::{Context, Process, ProcessError, ProcessResult, Protocol};
 use crate::engine::{flush_engine_metrics, Outcome, RingRunner};
 use crate::faults::DeliveryFault;
 use crate::pool::ThreadPool;
-use crate::sched::LinkIndex;
+use crate::sched::Links;
 use crate::trace::{EventKind, TraceEvent, TraceSink};
 use crate::{Direction, ExecStats, Scheduler, SimError, Topology};
 
@@ -392,23 +392,12 @@ enum EventEnd {
     NeighbourGone,
 }
 
-/// A payload-free replica of the serial engine's `Links`: the same queue
-/// occupancy, the same head seqs, the same [`LinkIndex`] transitions —
-/// so `choose()` returns exactly the serial pick at every step. Laid out
-/// structure-of-arrays like the serial `Links` (dense head-seq/backlog
-/// vectors, rare multi-message tails in a side table), and additionally
-/// tracking, in O(1) per transition, which *shards* own non-empty links
-/// — the epoch grant condition.
+/// A payload-free replica of the serial engine's link queues: the same
+/// [`Links`] code over `()` payloads, so `choose()` returns exactly the
+/// serial pick at every step. On top of it, tracks in O(1) per transition
+/// which *shards* own non-empty links — the epoch grant condition.
 struct MetaLinks {
-    /// Head seq per link; meaningful only while `backlog[link] > 0`.
-    head_seq: Vec<u64>,
-    /// Queued-seq count per link.
-    backlog: Vec<u32>,
-    /// Tail seqs (behind the head) for links with backlog ≥ 2.
-    overflow: BTreeMap<usize, VecDeque<u64>>,
-    index: Box<dyn LinkIndex>,
-    occupied: usize,
-    id_xor: usize,
+    links: Links<()>,
     /// Total messages in flight across all links.
     in_flight: usize,
     /// Shard owning each link's receiver.
@@ -425,15 +414,10 @@ struct MetaLinks {
 }
 
 impl MetaLinks {
-    fn new(n: usize, index: Box<dyn LinkIndex>, owner: &[usize], shards: usize) -> Self {
+    fn new(n: usize, scheduler: &Scheduler, owner: &[usize], shards: usize) -> Self {
         let link_owner = (0..2 * n).map(|link| owner[decode_link(link, n).0] as u32).collect();
         Self {
-            head_seq: vec![0; 2 * n],
-            backlog: vec![0; 2 * n],
-            overflow: BTreeMap::new(),
-            index,
-            occupied: 0,
-            id_xor: 0,
+            links: Links::new(2 * n, scheduler),
             in_flight: 0,
             link_owner,
             shard_occ: vec![0; shards],
@@ -444,10 +428,7 @@ impl MetaLinks {
     }
 
     fn push(&mut self, link: usize, seq: u64) {
-        if self.backlog[link] == 0 {
-            self.head_seq[link] = seq;
-            self.occupied += 1;
-            self.id_xor ^= link;
+        if self.links.backlog(link) == 0 {
             self.active.insert(link);
             let shard = self.link_owner[link] as usize;
             self.shard_occ[shard] += 1;
@@ -455,34 +436,19 @@ impl MetaLinks {
                 self.occupied_shards += 1;
                 self.shard_xor ^= shard;
             }
-        } else {
-            self.overflow.entry(link).or_default().push_back(seq);
         }
-        self.backlog[link] += 1;
+        self.links.push(link, seq, ());
         self.in_flight += 1;
-        self.index.on_push(link, seq, self.backlog[link] as usize);
     }
 
-    /// Mirrors `Links::choose`, including the single-link fast path (the
-    /// `Random` index consumes identical RNG state either way).
     fn choose(&mut self) -> Option<usize> {
-        match self.occupied {
-            0 => None,
-            1 => {
-                self.index.on_trivial_choose();
-                Some(self.id_xor)
-            }
-            _ => Some(self.index.choose()),
-        }
+        self.links.choose()
     }
 
     fn pop(&mut self, link: usize) {
-        let backlog = self.backlog[link].checked_sub(1).expect("chosen link non-empty");
-        self.backlog[link] = backlog;
+        self.links.pop(link);
         self.in_flight -= 1;
-        if backlog == 0 {
-            self.occupied -= 1;
-            self.id_xor ^= link;
+        if self.links.backlog(link) == 0 {
             self.active.remove(&link);
             let shard = self.link_owner[link] as usize;
             self.shard_occ[shard] -= 1;
@@ -490,15 +456,6 @@ impl MetaLinks {
                 self.occupied_shards -= 1;
                 self.shard_xor ^= shard;
             }
-            self.index.on_pop(link, None, 0);
-        } else {
-            let tail = self.overflow.get_mut(&link).expect("backlog ≥ 2 spills to overflow");
-            let next = tail.pop_front().expect("overflow entry non-empty");
-            if tail.is_empty() {
-                self.overflow.remove(&link);
-            }
-            self.head_seq[link] = next;
-            self.index.on_pop(link, Some(next), backlog as usize);
         }
     }
 
@@ -510,15 +467,7 @@ impl MetaLinks {
 
     /// Front-to-back queued seqs of `link`, for grants and capture.
     fn queue_seqs(&self, link: usize) -> Vec<u64> {
-        if self.backlog[link] == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.backlog[link] as usize);
-        out.push(self.head_seq[link]);
-        if let Some(tail) = self.overflow.get(&link) {
-            out.extend(tail.iter().copied());
-        }
-        out
+        self.links.queue_contents(link).into_iter().map(|(seq, ())| seq).collect()
     }
 }
 
@@ -531,7 +480,7 @@ impl MetaLinks {
 /// set: FIFO picks the minimum head seq (seqs are unique), LongestQueue
 /// the lowest-id link among the largest backlogs, Random the `k`-th
 /// smallest non-empty id for `k` drawn from the granted RNG state — the
-/// same definitions the incremental [`LinkIndex`] implementations
+/// same definitions the incremental `LinkIndex` implementations
 /// maintain, checked against them by the epoch-equivalence suite. The
 /// replica is O(occupied) per pick rather than O(log n), which is fine:
 /// epochs exist precisely because `occupied` is tiny in the steady
@@ -1471,8 +1420,7 @@ impl Coordinator {
         mut sink: TraceSink,
     ) -> Result<RunPhase, SimError> {
         let n = self.n;
-        let mut meta =
-            MetaLinks::new(n, self.scheduler.build_index(2 * n), &self.owner, self.shards);
+        let mut meta = MetaLinks::new(n, &self.scheduler, &self.owner, self.shards);
         let mut stats;
         let mut seq: u64;
         let mut deliveries: usize;
@@ -1489,7 +1437,7 @@ impl Coordinator {
                 }
             }
             if let Some(state) = &snap.rng {
-                meta.index.import_rng(state);
+                meta.links.import_rng(state);
             }
             stats = snap.stats.clone();
             seq = snap.seq;
@@ -1599,7 +1547,7 @@ impl Coordinator {
                                 .iter()
                                 .map(|&link| (link, meta.queue_seqs(link)))
                                 .collect(),
-                            rng: meta.index.export_rng(),
+                            rng: meta.links.export_rng(),
                         };
                         let reuse = spares[shard].take().unwrap_or_default();
                         self.metrics.counter_add("shard.epoch_grants", 1);
@@ -1721,7 +1669,7 @@ impl Coordinator {
                             .active
                             .iter()
                             .copied()
-                            .min_by_key(|&l| meta.head_seq[l])
+                            .min_by_key(|&l| meta.links.head_seq(l))
                             .expect("in-flight implies an active link");
                         meta.pop(link);
                     }
@@ -1731,7 +1679,7 @@ impl Coordinator {
                         }
                     }
                     if let Some(state) = agg.rng_end.take() {
-                        meta.index.import_rng(&state);
+                        meta.links.import_rng(&state);
                     }
                     seq = agg.seq_end;
                     report.reset();
@@ -2003,7 +1951,7 @@ impl Coordinator {
             position_deliveries: position_deliveries.to_vec(),
             stats: stats.clone(),
             links,
-            rng: meta.index.export_rng(),
+            rng: meta.links.export_rng(),
             processes,
             trace: sink.trace.clone(),
             ring: sink.ring.clone(),
@@ -2111,7 +2059,7 @@ mod tests {
         // shard 1. Link 2 delivers to position 0 (shard 0); link 5
         // (= n + 2) delivers to position 2 (shard 1).
         let owner = [0usize, 0, 1];
-        let mut meta = MetaLinks::new(3, Scheduler::Fifo.build_index(6), &owner, 2);
+        let mut meta = MetaLinks::new(3, &Scheduler::Fifo, &owner, 2);
         assert_eq!(meta.choose(), None);
         assert_eq!(meta.single_owner(), None);
         meta.push(2, 0);
@@ -2119,14 +2067,14 @@ mod tests {
         assert_eq!(meta.single_owner(), Some(0));
         meta.push(5, 2);
         assert_eq!(meta.in_flight, 3);
-        assert_eq!(meta.occupied, 2);
+        assert_eq!(meta.links.occupied(), 2);
         assert_eq!(meta.single_owner(), None); // links span both shards
         assert_eq!(meta.queue_seqs(2), vec![0, 1]);
         assert_eq!(meta.choose(), Some(2)); // earliest seq wins under FIFO
         meta.pop(2);
         assert_eq!(meta.choose(), Some(2));
         meta.pop(2);
-        assert_eq!(meta.occupied, 1);
+        assert_eq!(meta.links.occupied(), 1);
         assert_eq!(meta.single_owner(), Some(1));
         assert_eq!(meta.choose(), Some(5)); // fast path via id_xor
         meta.pop(5);

@@ -1,7 +1,7 @@
 //! Scheduler-equivalence suite: the incremental active-link index must be
 //! *behaviorally invisible* versus the seed implementation's full scan.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! 1. **Index dynamics** — randomized push/deliver schedules drive the
 //!    production [`LinkIndex`](ringleader_sim::LinkIndex) and the retained
@@ -9,7 +9,12 @@
 //!    the chosen link sequences must match exactly for every policy,
 //!    including the engine's single-link fast path (which for the random
 //!    policy must consume identical RNG state).
-//! 2. **Engine replay** — full runs of contention-heavy protocols record a
+//! 2. **Queue dynamics** — the same comparison through the real
+//!    [`sched_testkit::Links`], which notifies its index only while two
+//!    or more links are non-empty. Schedules keep a handful of messages
+//!    in flight so occupancy crosses 1↔2 over and over, often with the
+//!    lone link already holding a backlog when it is admitted.
+//! 3. **Engine replay** — full runs of contention-heavy protocols record a
 //!    trace; every `Deliver` event is then re-validated against what the
 //!    naive oracle would have picked given the reconstructed queue state.
 //!    This pins the engine integration end to end: queue bookkeeping,
@@ -22,9 +27,11 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use ringleader_automata::{Alphabet, Symbol, Word};
 use ringleader_bitio::{BitString, BitWriter};
-use ringleader_sim::sched_testkit::{LinkView, NaiveChooser};
+use ringleader_sim::sched_testkit::{LinkView, Links, NaiveChooser};
 use ringleader_sim::{
     sched_testkit, Context, Direction, EventKind, Process, ProcessResult, Protocol, RingRunner,
     Scheduler, Topology,
@@ -37,6 +44,20 @@ fn schedulers() -> [Scheduler; 4] {
         Scheduler::Random { seed: 7 },
         Scheduler::Random { seed: 0xDEAD_BEEF },
     ]
+}
+
+/// Non-empty links of the model queues, as the oracle sees them.
+fn views_of(queues: &[VecDeque<u64>]) -> Vec<LinkView> {
+    queues
+        .iter()
+        .enumerate()
+        .filter(|(_, q)| !q.is_empty())
+        .map(|(id, q)| LinkView {
+            id,
+            backlog: q.len(),
+            head_seq: *q.front().expect("filtered non-empty"),
+        })
+        .collect()
 }
 
 /// Drives the incremental index and the naive oracle through one identical
@@ -72,17 +93,7 @@ fn run_dynamics(scheduler: &Scheduler, links: usize, script: &[(u8, u16)]) -> (u
             } else {
                 index.choose()
             };
-            let views: Vec<LinkView> = queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(id, q)| LinkView {
-                    id,
-                    backlog: q.len(),
-                    head_seq: *q.front().expect("filtered non-empty"),
-                })
-                .collect();
-            let expected = oracle.choose(&views);
+            let expected = oracle.choose(&views_of(&queues));
             assert_eq!(
                 chosen, expected,
                 "{scheduler:?}: index and oracle disagree at event {events} \
@@ -121,15 +132,133 @@ proptest! {
             // Each event costs O(log links) elementary index operations —
             // heap entry moves, bucket transfers, Fenwick node visits —
             // where the seed implementation's scan cost O(links). The
-            // bound below is generous (log₂ rounds up, +4 constant) but
-            // two orders of magnitude below O(links) at engine scale.
-            let log2 = usize::BITS as u64 - u64::from((2 * links - 1).leading_zeros());
-            let budget = events * (2 * log2 + 4);
+            // bound is generous (log₂ rounds up, +4 constant) but two
+            // orders of magnitude below O(links) at engine scale.
+            let budget = index_budget(events, links);
             prop_assert!(
                 ops <= budget,
                 "{scheduler:?}: {ops} index ops over {events} events exceeds \
                  amortized budget {budget} (links={links})"
             );
+        }
+    }
+}
+
+/// What one [`run_links`] schedule exercised.
+#[derive(Debug, Default)]
+struct LinksRun {
+    events: u64,
+    index_ops: u64,
+    /// Pushes that took occupancy from one non-empty link to two.
+    admits: u64,
+    /// ... of which the lone link already held two or more messages.
+    backlogged_admits: u64,
+    /// Pops that took occupancy from two non-empty links to one.
+    evicts: u64,
+}
+
+/// Drives the real [`Links`] and the naive oracle through one schedule.
+///
+/// Each step `(target, hint)` pushes while fewer than `target % 5`
+/// messages are in flight (or none are) and delivers otherwise, so
+/// occupancy hovers around one or two links. A push whose `hint` has its
+/// top bit set goes to the lone non-empty link when there is one, which
+/// builds the backlog it carries into the index when a second link opens.
+/// Every pick must equal the oracle's, and every popped payload (the
+/// message's seq) must be that link's oldest.
+fn run_links(scheduler: &Scheduler, links: usize, script: &[(u8, u16)]) -> LinksRun {
+    let mut real: Links<u64> = Links::new(links, scheduler);
+    let mut oracle = NaiveChooser::new(scheduler);
+    let mut queues: Vec<VecDeque<u64>> = vec![VecDeque::new(); links];
+    let mut in_flight = 0usize;
+    let mut seq = 0u64;
+    let mut run = LinksRun::default();
+
+    for &(target, hint) in script {
+        let occupied = queues.iter().filter(|q| !q.is_empty()).count();
+        assert_eq!(real.occupied(), occupied);
+        if in_flight == 0 || in_flight < usize::from(target % 5) {
+            let lone = queues.iter().position(|q| !q.is_empty()).filter(|_| occupied == 1);
+            let link = match lone {
+                Some(lone) if hint & 0x8000 != 0 => lone,
+                _ => usize::from(hint) % links,
+            };
+            if occupied == 1 && queues[link].is_empty() {
+                run.admits += 1;
+                let lone = lone.expect("one non-empty link");
+                if queues[lone].len() >= 2 {
+                    run.backlogged_admits += 1;
+                }
+            }
+            queues[link].push_back(seq);
+            real.push(link, seq, seq);
+            in_flight += 1;
+            seq += 1;
+        } else {
+            let chosen = real.choose().expect("messages in flight");
+            let expected = oracle.choose(&views_of(&queues));
+            assert_eq!(
+                chosen, expected,
+                "{scheduler:?}: Links and oracle disagree at event {} (occupied={occupied})",
+                run.events
+            );
+            assert_eq!(Some(real.pop(chosen)), queues[chosen].pop_front());
+            assert_eq!(real.backlog(chosen), queues[chosen].len());
+            if occupied == 2 && queues[chosen].is_empty() {
+                run.evicts += 1;
+            }
+            in_flight -= 1;
+        }
+        run.events += 1;
+    }
+    assert_eq!(real.choose().is_none(), in_flight == 0);
+    run.index_ops = real.index_ops();
+    run
+}
+
+/// Amortized per-event budget of elementary index operations over
+/// `links` queues: O(log links), generous constants.
+fn index_budget(events: u64, links: usize) -> u64 {
+    let log2 = usize::BITS as u64 - u64::from((2 * links - 1).leading_zeros());
+    events * (2 * log2 + 4)
+}
+
+proptest! {
+    #[test]
+    fn links_match_oracle_across_occupancy_crossings(
+        links in 1usize..24,
+        script in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..400),
+    ) {
+        for scheduler in schedulers() {
+            let run = run_links(&scheduler, links, &script);
+            let budget = index_budget(run.events, links);
+            prop_assert!(
+                run.index_ops <= budget,
+                "{:?}: {} index ops over {} events exceeds budget {}",
+                scheduler, run.index_ops, run.events, budget
+            );
+        }
+    }
+}
+
+/// A long seeded schedule must actually exercise the bypass: many 1↔2
+/// crossings, including admits of a lone link holding a backlog of two or
+/// more, with every pick still the oracle's.
+#[test]
+fn links_bypass_crosses_occupancy_repeatedly() {
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let script: Vec<(u8, u16)> = (0..20_000).map(|_| (rng.gen(), rng.gen())).collect();
+    for links in [2usize, 3, 16, 1024] {
+        for scheduler in schedulers() {
+            let run = run_links(&scheduler, links, &script);
+            assert!(run.admits >= 500, "{scheduler:?} links={links}: only {} admits", run.admits);
+            assert!(
+                run.backlogged_admits >= 100,
+                "{scheduler:?} links={links}: only {} admits with backlog ≥ 2",
+                run.backlogged_admits
+            );
+            assert!(run.evicts >= 500, "{scheduler:?} links={links}: only {} evicts", run.evicts);
+            assert!(run.index_ops <= index_budget(run.events, links));
         }
     }
 }
@@ -235,17 +364,7 @@ fn assert_trace_matches_oracle(scheduler: &Scheduler, n: usize, proto: &dyn Prot
                 queues[link].push_back(event.seq);
             }
             EventKind::Deliver => {
-                let views: Vec<LinkView> = queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| !q.is_empty())
-                    .map(|(id, q)| LinkView {
-                        id,
-                        backlog: q.len(),
-                        head_seq: *q.front().expect("filtered non-empty"),
-                    })
-                    .collect();
-                let expected = oracle.choose(&views);
+                let expected = oracle.choose(&views_of(&queues));
                 let (position, direction) = receiver_of(expected, n);
                 assert_eq!(
                     (event.position, event.direction),
