@@ -19,14 +19,6 @@
 //!   n ∈ {1025, 4097}: a Θ(n)-bit token on every hop, so it prices the
 //!   payload codec per delivery on top of the scheduler
 //!   (`BENCH_0008.json`).
-//!
-//! * `one_pass_sharded` — the one-pass workload again, split across
-//!   {2, 4, 8} engine shards. A single token once meant one delivery per
-//!   merge window (pure round-trip overhead, 20–60× at these sizes —
-//!   `BENCH_0004.json`); with epoch-batched grants the coordinator hands
-//!   each arc its whole traversal in one command, so this now measures
-//!   the residual coordination gap (`BENCH_0006.json`). CI's perf-smoke
-//!   gate keeps it from regressing back to per-delivery round-trips.
 //! * `sampler` — word generation for those runs: `DfaLanguage`'s
 //!   positive and negative examples of `(a|b)*abb` at n ∈ {4096, 65536},
 //!   which price `WordSampler`'s counting DP (`BENCH_0009.json`).
@@ -37,8 +29,7 @@
 //!
 //! Run with `CRITERION_SNAPSHOT=out.jsonl` to dump machine-readable
 //! measurements; `BENCH_0003.json` in the repo root is the checked-in
-//! trajectory for the serial engine (pre- and post-incremental-index),
-//! and `BENCH_0004.json` the serial-vs-sharded trajectory.
+//! trajectory for the serial engine (pre- and post-incremental-index).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -92,32 +83,6 @@ fn bench_sampler(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(0xE4);
             b.iter(|| lang.negative_example(n, &mut rng).unwrap());
         });
-    }
-    group.finish();
-}
-
-/// One-pass run split across {2, 4, 8} shards: per-delivery coordination
-/// cost. A single token means every delivery is computable one arc at a
-/// time, so the epoch path should grant each arc's whole traversal in
-/// one command — the measured overhead is the epoch round-trip amortized
-/// over `n/shards` deliveries plus the coordinator's replay, not a
-/// channel hop per delivery.
-fn bench_one_pass_sharded(c: &mut Criterion) {
-    let sigma = ringleader_automata::Alphabet::from_chars("ab").unwrap();
-    let lang = DfaLanguage::from_regex("(a|b)*abb", &sigma).unwrap();
-    let proto = DfaOnePass::new(&lang);
-    let mut group = c.benchmark_group("engine_hot_loop/one_pass_sharded");
-    for shards in [2usize, 4, 8] {
-        for n in SIZES {
-            let word = word_for(&lang, n, 0xE0);
-            group.bench_function(format!("shards_{shards}/{n}"), |b| {
-                b.iter(|| {
-                    let mut runner = RingRunner::new();
-                    runner.shards(shards);
-                    runner.run(&proto, &word).unwrap()
-                });
-            });
-        }
     }
     group.finish();
 }
@@ -377,7 +342,6 @@ criterion_group!(
     engine_hot_loop,
     bench_one_pass,
     bench_sampler,
-    bench_one_pass_sharded,
     bench_bidir_collision,
     bench_quadratic_stateless,
     bench_payload,

@@ -3,8 +3,7 @@
 //! Policy: wallclock-in-sim carve-out — `ringleader_obs` is the one
 //! non-test place in the workspace allowed to read monotonic wall time
 //! (`std::time::Instant`). Result-affecting crates record durations
-//! through the opaque [`Timer`] / [`Metrics::shard_phase`] handles and
-//! never see a time value; detlint's `wallclock-in-sim` rule recognises
+//! through the opaque [`Timer`] handle and never see a time value; detlint's `wallclock-in-sim` rule recognises
 //! this header and exempts the crate, while its `obs-boundary` rule
 //! bans reading metric values back out of the registry in those crates.
 //!
@@ -13,10 +12,9 @@
 //! [`Metrics`] is a cheap cloneable handle, either *disabled* (the
 //! default: a `None` inside, every record call an inlined no-op) or
 //! *enabled* (a shared registry of named counters, max-gauges,
-//! log2-bucketed histograms, timing summaries, and per-shard
-//! busy/idle/blocked phase timelines). Histogram buckets are fixed
-//! powers of two so dumps are deterministic and diffable across runs
-//! and machines.
+//! log2-bucketed histograms and timing summaries). Histogram buckets
+//! are fixed powers of two so dumps are deterministic and diffable
+//! across runs and machines.
 //!
 //! # The metrics-never-affect-results contract
 //!
@@ -27,7 +25,7 @@
 //! for tests, this crate, and report export. A run with metrics
 //! enabled must therefore be byte-identical to the same run with
 //! metrics disabled — the sim test suite pins exactly that across
-//! engines, schedulers, and shard counts.
+//! engines, schedulers, and kill/resume splits.
 //!
 //! # RunReport
 //!
@@ -48,31 +46,11 @@ use serde::{Deserialize, Serialize};
 
 /// Schema version stamped into every [`RunReport`]; bump on any field
 /// change so old readers fail loudly instead of misparsing.
-pub const REPORT_VERSION: u32 = 1;
+pub const REPORT_VERSION: u32 = 2;
 
 /// Number of log2 histogram buckets: bucket 0 holds zeros, bucket `i`
 /// (1 ≤ i ≤ 64) holds values in `[2^(i-1), 2^i - 1]`.
 const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Which phase a shard worker is in; see [`Metrics::shard_phase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Executing granted work (an epoch or a one-pick job).
-    Busy,
-    /// Waiting on the coordinator for the next job.
-    Idle,
-    /// Waiting on a neighbouring shard for a boundary handoff.
-    Blocked,
-}
-
-#[derive(Debug, Default)]
-struct ShardTimeline {
-    phase: Option<Phase>,
-    since: Option<Instant>,
-    busy_ns: u64,
-    idle_ns: u64,
-    blocked_ns: u64,
-}
 
 #[derive(Debug, Default)]
 struct TimerStats {
@@ -87,23 +65,6 @@ struct State {
     gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Box<[u64; HISTOGRAM_BUCKETS]>>,
     timings: BTreeMap<&'static str, TimerStats>,
-    shards: BTreeMap<usize, ShardTimeline>,
-}
-
-impl State {
-    fn advance_shard(&mut self, shard: usize, phase: Option<Phase>, now: Instant) {
-        let timeline = self.shards.entry(shard).or_default();
-        if let (Some(prev), Some(since)) = (timeline.phase, timeline.since) {
-            let elapsed = now.duration_since(since).as_nanos() as u64;
-            match prev {
-                Phase::Busy => timeline.busy_ns += elapsed,
-                Phase::Idle => timeline.idle_ns += elapsed,
-                Phase::Blocked => timeline.blocked_ns += elapsed,
-            }
-        }
-        timeline.phase = phase;
-        timeline.since = Some(now);
-    }
 }
 
 #[derive(Debug, Default)]
@@ -174,25 +135,6 @@ impl Metrics {
         Timer { live: self.inner.as_ref().map(|inner| (Arc::clone(inner), name, Instant::now())) }
     }
 
-    /// Record that shard `shard`'s worker entered `phase`; the time
-    /// since its previous transition accrues to the previous phase.
-    #[inline]
-    pub fn shard_phase(&self, shard: usize, phase: Phase) {
-        if let Some(inner) = &self.inner {
-            let now = Instant::now();
-            inner.state.lock().advance_shard(shard, Some(phase), now);
-        }
-    }
-
-    /// Close shard `shard`'s open phase interval (worker shutdown).
-    #[inline]
-    pub fn shard_done(&self, shard: usize) {
-        if let Some(inner) = &self.inner {
-            let now = Instant::now();
-            inner.state.lock().advance_shard(shard, None, now);
-        }
-    }
-
     /// Snapshot the registry as a versioned [`RunReport`].
     ///
     /// Value-reading accessor: banned by detlint's `obs-boundary` rule
@@ -204,7 +146,6 @@ impl Metrics {
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             timings: BTreeMap::new(),
-            shard_utilization: Vec::new(),
         };
         let Some(inner) = &self.inner else { return report };
         let state = inner.state.lock();
@@ -242,14 +183,6 @@ impl Metrics {
                     max_ns: stats.max_ns,
                 },
             );
-        }
-        for (&shard, timeline) in &state.shards {
-            report.shard_utilization.push(ShardUtilization {
-                shard,
-                busy_ns: timeline.busy_ns,
-                idle_ns: timeline.idle_ns,
-                blocked_ns: timeline.blocked_ns,
-            });
         }
         report
     }
@@ -341,20 +274,6 @@ pub struct TimingSummary {
     pub max_ns: u64,
 }
 
-/// Per-shard busy/idle/blocked wall-time split — the multi-core
-/// utilization answer for the sharded engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardUtilization {
-    /// Shard index.
-    pub shard: usize,
-    /// Nanoseconds spent executing granted work.
-    pub busy_ns: u64,
-    /// Nanoseconds spent waiting on the coordinator.
-    pub idle_ns: u64,
-    /// Nanoseconds spent waiting on boundary handoffs.
-    pub blocked_ns: u64,
-}
-
 /// Versioned JSON export of a [`Metrics`] registry; the artifact behind
 /// `experiments --metrics <path>`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -369,8 +288,6 @@ pub struct RunReport {
     pub histograms: BTreeMap<String, Vec<HistogramBucket>>,
     /// Named timing summaries.
     pub timings: BTreeMap<String, TimingSummary>,
-    /// Per-shard phase timelines, in shard order.
-    pub shard_utilization: Vec<ShardUtilization>,
 }
 
 /// Error from [`RunReport::from_json`]: unparsable text or a report
@@ -446,8 +363,7 @@ mod tests {
         assert!(!m.is_enabled());
         m.counter_add("engine.deliveries", 5);
         m.gauge_max("engine.bit_rounds", 9);
-        m.record_histogram("shard.epoch_len", 12);
-        m.shard_phase(0, Phase::Busy);
+        m.record_histogram("sample.len", 12);
         drop(m.start_timer("checkpoint.capture"));
         assert_eq!(m.counter_value("engine.deliveries"), 0);
         assert_eq!(m.gauge_value("engine.bit_rounds"), 0);
@@ -455,7 +371,6 @@ mod tests {
         assert!(report.counters.is_empty());
         assert!(report.histograms.is_empty());
         assert!(report.timings.is_empty());
-        assert!(report.shard_utilization.is_empty());
     }
 
     #[test]
@@ -482,12 +397,12 @@ mod tests {
         assert_eq!(bucket_index(u64::MAX), 64);
 
         let m = Metrics::enabled();
-        m.record_histogram("shard.epoch_len", 0);
-        m.record_histogram("shard.epoch_len", 3);
-        m.record_histogram("shard.epoch_len", 3);
-        m.record_histogram("shard.epoch_len", 100);
+        m.record_histogram("sample.len", 0);
+        m.record_histogram("sample.len", 3);
+        m.record_histogram("sample.len", 3);
+        m.record_histogram("sample.len", 100);
         let report = m.run_report();
-        let buckets = &report.histograms["shard.epoch_len"];
+        let buckets = &report.histograms["sample.len"];
         assert_eq!(
             buckets,
             &vec![
@@ -510,32 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_phases_accrue_to_the_previous_phase() {
-        let m = Metrics::enabled();
-        m.shard_phase(1, Phase::Idle);
-        m.shard_phase(1, Phase::Busy);
-        m.shard_phase(1, Phase::Blocked);
-        m.shard_done(1);
-        let report = m.run_report();
-        assert_eq!(report.shard_utilization.len(), 1);
-        let util = &report.shard_utilization[0];
-        assert_eq!(util.shard, 1);
-        // Every phase was entered and later exited, so each accrued
-        // some (possibly sub-microsecond but nonnegative) time; the
-        // struct itself must list all three splits.
-        let _ = util.busy_ns + util.idle_ns + util.blocked_ns;
-    }
-
-    #[test]
     fn run_report_round_trips_through_json() {
         let m = Metrics::enabled();
         m.counter_add("engine.deliveries", 4096);
-        m.counter_add("shard.epoch_grants", 9);
+        m.counter_add("engine.messages", 9);
         m.gauge_max("engine.max_message_bits", 13);
-        m.record_histogram("shard.epoch_len", 2048);
+        m.record_histogram("sample.len", 2048);
         drop(m.start_timer("checkpoint.capture"));
-        m.shard_phase(0, Phase::Busy);
-        m.shard_done(0);
         let report = m.run_report();
         let text = report.to_json_pretty();
         let back = RunReport::from_json(&text).expect("round trip");
@@ -547,11 +443,14 @@ mod tests {
     fn run_report_rejects_foreign_versions() {
         let m = Metrics::enabled();
         m.counter_add("engine.deliveries", 1);
-        let mut report = m.run_report();
-        report.version = REPORT_VERSION + 1;
-        let text = report.to_json_pretty();
-        let err = RunReport::from_json(&text).expect_err("version gate");
-        assert!(err.reason.contains("unsupported"), "{err}");
+        // Version 1 is the previous schema; the next one is unknown.
+        for version in [1, REPORT_VERSION + 1] {
+            let mut report = m.run_report();
+            report.version = version;
+            let text = report.to_json_pretty();
+            let err = RunReport::from_json(&text).expect_err("version gate");
+            assert!(err.reason.contains(&format!("version {version} unsupported")), "{err}");
+        }
         let garbage = RunReport::from_json("{not json").expect_err("parse gate");
         assert!(garbage.reason.contains("unparsable"), "{garbage}");
     }

@@ -64,12 +64,6 @@
 //! pins full-run equivalence. Each index also counts its elementary
 //! operations ([`LinkIndex::index_ops`]) so tests can assert the
 //! per-event cost stays O(log n) instead of O(n).
-//!
-//! The sharded engine (`crate::shard`) leans on the same code from the
-//! other side: its coordinator replays a payload-free `Links<()>` replica
-//! of the link state, so the merged delivery order *is* this module's
-//! pick order — one policy implementation, shared by both engines,
-//! checked against one oracle.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -454,8 +448,9 @@ impl LinkIndex for RandomIndex {
 /// when occupancy falls to one, the survivor stays parked in the index
 /// (see the module docs).
 ///
-/// `P` is the payload type: the serial engine queues [`BitString`]s, the
-/// sharded engine's coordinator a payload-free `()` replica.
+/// `P` is the payload type: the serial engine queues [`BitString`]s, and
+/// the scheduler-equivalence suite drives `Links<u64>` to check that
+/// payloads stay FIFO per link.
 ///
 /// Link ids: 0..n are clockwise links (i → i+1 mod n); n..2n are
 /// counter-clockwise links (i+1 → i, stored at n + i).

@@ -7,10 +7,9 @@
 //! with the event engine — experiment E12 checks that, closing the gap
 //! between "simulated" and "actually concurrent" executions.
 //!
-//! This is the opposite trade from the sharded engine (`crate::shard`):
-//! that one buys throughput at large `n` while staying byte-identical to
-//! the serial schedule; this one surrenders the schedule to the OS on
-//! purpose, as evidence the measured bit counts never depended on it.
+//! Where the serial engine fixes the delivery schedule, this backend
+//! surrenders it to the OS on purpose, as evidence the measured bit
+//! counts never depended on it.
 //!
 //! The backend piggybacks a control signal on the data channels: when the
 //! leader decides, a `Halt` envelope is flooded clockwise so every thread
