@@ -1,22 +1,22 @@
 //! Crash-safe experiment driving: the [`RunLedger`].
 //!
-//! A massive `experiments` invocation is hours of compute across many
-//! specs; an interruption (OOM kill, pre-emption, ctrl-C) should not
-//! throw away the specs that already finished. The ledger is the
-//! analysis-layer half of the crash-safety story (the engine half is
-//! [`ringleader_sim::EngineSnapshot`]): after each spec completes, its
-//! full [`ExperimentResult`] is appended to a JSON ledger file on disk;
-//! a resumed invocation loads the ledger, skips every completed spec,
-//! and splices the stored results into the final envelope **in spec
-//! order** — so the resumed run's JSON output is byte-identical to what
-//! the uninterrupted run would have produced.
+//! An interrupted `experiments` invocation (OOM kill, pre-emption,
+//! ctrl-C) should not throw away the specs that already finished. The
+//! ledger is the workspace's only crash-safety layer: a single run takes
+//! seconds even at the massive scale, so checkpointing inside the engine
+//! would protect nothing a spec-granular record does not. After each
+//! spec completes, its full [`ExperimentResult`] is appended to a JSON
+//! ledger file on disk; a resumed invocation loads the ledger, skips
+//! every completed spec, and splices the stored results into the final
+//! envelope **in spec order** — so the resumed run's JSON output is
+//! byte-identical to what the uninterrupted run would have produced.
 //!
-//! Writes are atomic (write to a sibling temp file, then rename), so a
-//! crash *during* a ledger write leaves the previous ledger intact
-//! rather than a torn file.
+//! Writes are atomic and durable (write and sync a sibling temp file,
+//! then rename), so a crash or power loss *during* a ledger write leaves
+//! the previous ledger intact rather than a torn or empty file.
 
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -29,11 +29,11 @@ pub const LEDGER_VERSION: u32 = 1;
 
 /// One completed spec in a [`RunLedger`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LedgerEntry {
+struct LedgerEntry {
     /// The experiment id, as registered (`E1`, `E7`, ...).
-    pub id: String,
+    id: String,
     /// The spec's complete result, exactly as the run produced it.
-    pub result: ExperimentResult,
+    result: ExperimentResult,
 }
 
 /// A persistent record of which specs a (possibly interrupted) batch run
@@ -83,18 +83,6 @@ impl RunLedger {
         self.completed.iter().find(|e| e.id == id).map(|e| &e.result)
     }
 
-    /// Whether `id` already completed.
-    #[must_use]
-    pub fn is_complete(&self, id: &str) -> bool {
-        self.get(id).is_some()
-    }
-
-    /// Completed entries, in completion order.
-    #[must_use]
-    pub fn entries(&self) -> &[LedgerEntry] {
-        &self.completed
-    }
-
     /// Number of completed specs.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -107,8 +95,11 @@ impl RunLedger {
         self.completed.is_empty()
     }
 
-    /// Atomically writes the ledger to `path` (temp file + rename), so an
-    /// interrupted save never corrupts an existing ledger.
+    /// Atomically writes the ledger to `path`: the JSON goes to a sibling
+    /// temp file, which is synced to disk before it is renamed over
+    /// `path`. An interrupted save never corrupts an existing ledger, and
+    /// the renamed file is never an empty one whose data was still in the
+    /// page cache when the power went.
     ///
     /// # Errors
     ///
@@ -117,7 +108,9 @@ impl RunLedger {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let tmp = path.with_extension("tmp");
-        fs::write(&tmp, json)?;
+        let mut file = File::create(&tmp)?;
+        file.write_all(json.as_bytes())?;
+        file.sync_all()?;
         fs::rename(&tmp, path)
     }
 
@@ -160,8 +153,8 @@ mod tests {
         ledger.record(result("E1", 16));
         ledger.record(result("E2", 24));
         assert_eq!(ledger.len(), 2);
-        assert!(ledger.is_complete("E1"));
-        assert!(!ledger.is_complete("E3"));
+        assert!(ledger.get("E1").is_some());
+        assert!(ledger.get("E3").is_none());
         // Last write wins, without duplicating the entry.
         ledger.record(result("E1", 99));
         assert_eq!(ledger.len(), 2);

@@ -41,7 +41,7 @@ pub mod registry;
 mod report;
 mod sweep;
 
-pub use checkpoint::{LedgerEntry, RunLedger, LEDGER_VERSION};
+pub use checkpoint::{RunLedger, LEDGER_VERSION};
 pub use fit::{fit_series, log_log_slope, FitResult, GrowthModel};
 pub use registry::{
     fit_label, fit_note, run_schedule_matrix, ExperimentHarness, ExperimentSpec, GridProfile,

@@ -8,9 +8,7 @@
 //! experiments --json out.json       # also dump the versioned JSON envelope
 //! experiments --workers 8           # parallel sweeps on 8 threads
 //! experiments --workers 0           # one thread per CPU
-//! experiments --trace-ring 4096     # bound every run's trace to 4096 events
 //! experiments --checkpoint-dir ckpt # write a resume ledger after each spec
-//! experiments --checkpoint-every 2  # ...flushing every 2 completed specs
 //! experiments --resume ckpt/ledger-smoke.json   # skip completed specs
 //! experiments --halt-after 3        # stop (exit 2) after 3 fresh specs
 //! experiments --metrics run.json    # dump a versioned RunReport of telemetry
@@ -36,26 +34,27 @@
 //! # Crash safety
 //!
 //! `--checkpoint-dir D` appends every completed spec's full result to a
-//! [`RunLedger`] at `D/ledger-<scale>.json` (atomic temp-file + rename
-//! writes, flushed every `--checkpoint-every` completed specs). If the
+//! [`RunLedger`] at `D/ledger-<scale>.json`, flushed after every freshly
+//! computed spec (an atomic, synced temp-file + rename write of a few
+//! kilobytes of JSON). The ledger is the only crash-safety layer: no run
+//! is long enough for a mid-run engine snapshot to pay. If the
 //! invocation dies — OOM kill, pre-emption, ctrl-C — rerunning with
 //! `--resume <ledger>` skips every completed spec and splices its stored
 //! result into the output *in spec order*: the resumed run's tables and
 //! JSON envelope are byte-identical to the uninterrupted run's.
 //! `--halt-after N` stops deterministically (exit code 2) after `N`
 //! freshly-computed specs — the hook CI uses to rehearse the kill-resume
-//! cycle without actual signal delivery. `--trace-ring N` bounds every
-//! run's trace to its last `N` events (O(N) memory at any scale).
+//! cycle without actual signal delivery.
 //!
 //! # Observability
 //!
 //! `--metrics <path>` attaches an enabled
 //! [`Metrics`](ringleader_obs::Metrics) registry to every run and dumps
 //! a versioned [`RunReport`](ringleader_obs::RunReport) JSON at the end:
-//! engine counters and gauges, and trace-ring drops. `--progress`
-//! prints an elapsed-time heartbeat to stderr after each spec. Both are
-//! observability only — stdout tables and the `--json` envelope are
-//! byte-identical with or without them.
+//! engine counters and gauges. `--progress` prints an elapsed-time
+//! heartbeat to stderr after each spec. Both are observability only —
+//! stdout tables and the `--json` envelope are byte-identical with or
+//! without them.
 //!
 //! Exit code 0 iff every executed experiment's verdict is REPRODUCED;
 //! exit code 2 on a `--halt-after` stop.
@@ -76,8 +75,8 @@ use serde::Serialize;
 const SCHEMA_VERSION: u32 = 1;
 
 const KNOWN_FLAGS: &str = "--list, --scale <smoke|paper|large|massive>, --filter <substring>, \
-     --workers <n>, --trace-ring <n>, --json <path>, --checkpoint-dir <dir>, \
-     --checkpoint-every <n>, --resume <ledger>, --halt-after <n>, --metrics <path>, --progress";
+     --workers <n>, --json <path>, --checkpoint-dir <dir>, --resume <ledger>, \
+     --halt-after <n>, --metrics <path>, --progress";
 
 #[derive(Serialize)]
 struct EnvelopeEntry {
@@ -99,9 +98,7 @@ fn main() -> ExitCode {
 
     let mut json_path: Option<String> = None;
     let mut workers = 1usize;
-    let mut trace_ring: Option<usize> = None;
     let mut checkpoint_dir: Option<String> = None;
-    let mut checkpoint_every = 1usize;
     let mut resume_path: Option<String> = None;
     let mut halt_after: Option<usize> = None;
     let mut metrics_path: Option<String> = None;
@@ -128,24 +125,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--trace-ring" => match iter.next().as_deref().map(str::parse::<usize>) {
-                Some(Ok(n)) if n >= 1 => trace_ring = Some(n),
-                _ => {
-                    eprintln!("--trace-ring requires an event capacity of at least 1");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--checkpoint-dir" => match iter.next() {
                 Some(dir) => checkpoint_dir = Some(dir),
                 None => {
                     eprintln!("--checkpoint-dir requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint-every" => match iter.next().as_deref().map(str::parse::<usize>) {
-                Some(Ok(n)) if n >= 1 => checkpoint_every = n,
-                _ => {
-                    eprintln!("--checkpoint-every requires a spec count of at least 1");
                     return ExitCode::FAILURE;
                 }
             },
@@ -269,36 +252,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // Non-fatal cadence check: BENCH_0005.json's ≤5% checkpoint-overhead
-    // bound holds when at least ~50n deliveries separate snapshots. A
-    // run of size n delivers at least n messages, so a spec's cheapest
-    // delivery estimate is Σ sizes × samples; warn when the thinnest
-    // `--checkpoint-every`-spec window of this selection lands under the
-    // budget at the selection's largest ring. A cadence of one flush per
-    // whole invocation has no interior snapshot to amortize, so it is
-    // exempt.
-    if ledger_path.is_some() && checkpoint_every < selected.len() {
-        let spec_deliveries: Vec<usize> = selected
-            .iter()
-            .map(|s| {
-                let g = s.grid(scale);
-                g.sizes.iter().map(|&n| n * g.samples_per_size).sum()
-            })
-            .collect();
-        let max_n =
-            selected.iter().flat_map(|s| s.grid(scale).sizes.iter().copied()).max().unwrap_or(0);
-        let min_window: usize =
-            spec_deliveries.windows(checkpoint_every).map(|w| w.iter().sum()).min().unwrap_or(0);
-        let budget = 50 * max_n;
-        if min_window < budget {
-            eprintln!(
-                "warning: --checkpoint-every {checkpoint_every} flushes the ledger about every \
-                 ~{min_window} deliveries at the cheapest point of this selection, below the \
-                 ~50n budget (~{budget} at n = {max_n}) where BENCH_0005.json shows checkpoint \
-                 overhead exceeding 5%; consider a larger --checkpoint-every"
-            );
-        }
-    }
     let flush = |ledger: &RunLedger| -> Result<(), ExitCode> {
         if let Some(path) = &ledger_path {
             if let Err(e) = ledger.save(path) {
@@ -325,10 +278,7 @@ fn main() -> ExitCode {
     // registry is enabled, disabled, or absent.
     let metrics = if metrics_path.is_some() { Metrics::enabled() } else { Metrics::disabled() };
     let progress = Progress::new(progress_flag);
-    let mut harness = ExperimentHarness::new(exec.as_ref(), scale).with_metrics(metrics.clone());
-    if let Some(capacity) = trace_ring {
-        harness = harness.with_trace_ring(capacity);
-    }
+    let harness = ExperimentHarness::new(exec.as_ref(), scale).with_metrics(metrics.clone());
 
     // Run in spec order, skipping anything the ledger already holds; the
     // splice keeps tables and envelope byte-identical to an
@@ -346,17 +296,10 @@ fn main() -> ExitCode {
         results.push(result);
         fresh += 1;
         progress.tick(&format!("{} done ({fresh} fresh)", spec.id()));
-        if fresh % checkpoint_every == 0 {
-            if let Err(code) = flush(&ledger) {
-                return code;
-            }
+        if let Err(code) = flush(&ledger) {
+            return code;
         }
         if halt_after == Some(fresh) {
-            // Always flush at the halt point, whatever the cadence: the
-            // whole point is that this exact state is resumable.
-            if let Err(code) = flush(&ledger) {
-                return code;
-            }
             match &ledger_path {
                 Some(path) => eprintln!(
                     "halted after {fresh} fresh experiment(s); resume with --resume {}",
@@ -371,12 +314,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if fresh % checkpoint_every != 0 {
-        if let Err(code) = flush(&ledger) {
-            return code;
-        }
-    }
-
     let mut all_reproduced = true;
     for r in &results {
         println!("{r}");

@@ -41,9 +41,14 @@ fn unknown_id_fails_cleanly() {
 /// same way, so scripts that still pass it do not run on without it.
 #[test]
 fn unknown_flags_are_rejected() {
-    for flags in
-        [vec!["--jsn", "out.json"], vec!["-x"], vec!["e10", "--bogus"], vec!["--shards", "2"]]
-    {
+    for flags in [
+        vec!["--jsn", "out.json"],
+        vec!["-x"],
+        vec!["e10", "--bogus"],
+        vec!["--shards", "2"],
+        vec!["--trace-ring", "8"],
+        vec!["--checkpoint-every", "2"],
+    ] {
         let out = experiments().args(&flags).output().expect("binary runs");
         assert!(!out.status.success(), "{flags:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -62,30 +67,60 @@ fn scale_flag_is_validated() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
-/// `--checkpoint-every` below the ~50n-deliveries budget from
-/// BENCH_0005.json draws a non-fatal stderr warning; a cadence of one
-/// flush per invocation stays quiet.
+/// The ledger contract, end to end: a run halted after its first fresh
+/// spec and then resumed from the ledger writes byte-for-byte the JSON
+/// of an uninterrupted run, and a ledger refuses to resume a run at
+/// another scale.
 #[test]
-fn tight_checkpoint_cadence_warns() {
-    let dir = std::env::temp_dir().join(format!("ringleader_ckpt_warn_{}", std::process::id()));
-    let out = experiments()
-        .args(["e7", "e10", "--scale", "smoke", "--checkpoint-every", "1", "--checkpoint-dir"])
-        .arg(&dir)
-        .output()
-        .expect("binary runs");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stderr: {err}");
-    assert!(err.contains("warning: --checkpoint-every 1"), "stderr: {err}");
-    assert!(err.contains("BENCH_0005.json"), "stderr: {err}");
+fn halted_run_resumes_byte_identically_from_the_ledger() {
+    let dir = std::env::temp_dir().join(format!("ringleader_ledger_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let selection = ["e10", "a2", "e7", "--scale", "smoke"];
+    let (uninterrupted, resumed) = (dir.join("a.json"), dir.join("b.json"));
+    let ckpt = dir.join("ckpt");
+    let ledger = ckpt.join("ledger-smoke.json");
 
     let out = experiments()
-        .args(["e7", "e10", "--scale", "smoke", "--checkpoint-every", "2", "--checkpoint-dir"])
-        .arg(&dir)
+        .args(selection)
+        .arg("--json")
+        .arg(&uninterrupted)
         .output()
         .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let out = experiments()
+        .args(selection)
+        .arg("--checkpoint-dir")
+        .arg(&ckpt)
+        .args(["--halt-after", "1"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let out = experiments()
+        .args(selection)
+        .arg("--resume")
+        .arg(&ledger)
+        .arg("--json")
+        .arg(&resumed)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        std::fs::read(&uninterrupted).expect("uninterrupted JSON"),
+        std::fs::read(&resumed).expect("resumed JSON"),
+        "a resumed run must write the uninterrupted run's JSON"
+    );
+
+    let out = experiments()
+        .args(["--scale", "paper", "--resume"])
+        .arg(&ledger)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stderr: {err}");
-    assert!(!err.contains("warning:"), "one flush per invocation must not warn: {err}");
+    assert!(err.contains("is a smoke ledger; this invocation runs at paper"), "stderr: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -181,31 +181,20 @@ pub trait Process: Send {
         ctx: &mut Context,
     ) -> ProcessResult;
 
-    /// Serializes this process's mutable state for a checkpoint, or `None`
-    /// if the protocol does not support checkpointing.
-    ///
-    /// Only state that changes across events belongs here; construction
-    /// parameters (the input letter, protocol configuration) are rebuilt
-    /// from the [`Protocol`] factories on restore. A process whose entire
-    /// state is its construction parameters returns `Some(Vec::new())`.
-    ///
-    /// The default returns `None`, which makes
-    /// [`RingRunner::run_until`](crate::RingRunner::run_until) fail with
-    /// [`SimError::Snapshot`](crate::SimError::Snapshot) — protocols opt
-    /// in to crash safety explicitly.
+    /// No engine calls this: crash safety lives in the experiments
+    /// ledger, not in engine snapshots. The method stays, with its
+    /// default body only, because the benchmark's traced protocol wrapper
+    /// forwards it; it goes with the next change to the benchmark.
     fn save_state(&self) -> Option<Vec<u8>> {
         None
     }
 
-    /// Restores state previously produced by
-    /// [`save_state`](Process::save_state) into a freshly constructed
-    /// process.
+    /// No engine calls this either; it goes with
+    /// [`save_state`](Process::save_state).
     ///
     /// # Errors
     ///
-    /// Returns [`ProcessError::InvalidState`] when the bytes do not match
-    /// what this protocol saves (the default, for protocols that never
-    /// save).
+    /// The default always returns [`ProcessError::InvalidState`].
     fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
         let _ = bytes;
         Err(ProcessError::InvalidState("protocol does not support checkpoint restore".into()))

@@ -3,7 +3,6 @@
 use ringleader_automata::Word;
 use ringleader_obs::Metrics;
 
-use crate::checkpoint::{EngineSnapshot, RunPhase, SNAPSHOT_VERSION};
 use crate::context::{Context, Process, Protocol};
 use crate::faults::FaultPlan;
 use crate::sched::Links;
@@ -146,83 +145,9 @@ impl RingRunner {
     /// * [`SimError::Stalled`] if traffic dries up without a decision.
     /// * [`SimError::EventLimitExceeded`] if the budget is exhausted.
     pub fn run(&self, protocol: &dyn Protocol, word: &Word) -> Result<Outcome, SimError> {
-        finished(self.dispatch(protocol, word, None, None)?)
-    }
-
-    /// Runs until `events` deliveries have occurred, then pauses and
-    /// captures an [`EngineSnapshot`] — or completes first.
-    ///
-    /// The pause point is a delivery boundary: the snapshot is taken
-    /// before the `events + 1`-th delivery.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run`](RingRunner::run) returns, plus
-    /// [`SimError::Snapshot`] if the protocol does not implement
-    /// [`Process::save_state`] or the engine cannot capture (the threaded
-    /// runner never can).
-    pub fn run_until(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        events: usize,
-    ) -> Result<RunPhase, SimError> {
-        self.dispatch(protocol, word, None, Some(events))
-    }
-
-    /// Resumes a paused run from `snapshot` and drives it to completion.
-    ///
-    /// `protocol` and `word` must be the ones the snapshot was captured
-    /// from (process state is rebuilt by constructing fresh processes and
-    /// feeding them [`Process::load_state`]). The snapshot carries the
-    /// run's configuration; of this runner's settings only the fault plan
-    /// and the metrics handle apply.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run`](RingRunner::run) returns, plus
-    /// [`SimError::Snapshot`] on a version or ring-size mismatch.
-    pub fn resume(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        snapshot: &EngineSnapshot,
-    ) -> Result<Outcome, SimError> {
-        finished(self.dispatch(protocol, word, Some(snapshot), None)?)
-    }
-
-    /// Resumes from `snapshot` and pauses again after a total of `events`
-    /// deliveries (counted from the run's start, not from the snapshot).
-    ///
-    /// # Errors
-    ///
-    /// As [`resume`](RingRunner::resume) and
-    /// [`run_until`](RingRunner::run_until).
-    pub fn resume_until(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        snapshot: &EngineSnapshot,
-        events: usize,
-    ) -> Result<RunPhase, SimError> {
-        self.dispatch(protocol, word, Some(snapshot), Some(events))
-    }
-
-    /// Shared entry point: the event loop, with an optional snapshot to
-    /// resume from and an optional pause point.
-    fn dispatch(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        resume: Option<&EngineSnapshot>,
-        pause_at: Option<usize>,
-    ) -> Result<RunPhase, SimError> {
         let n = word.len();
         if n == 0 {
             return Err(SimError::EmptyRing);
-        }
-        if let Some(snap) = resume {
-            snap.validate(n)?;
         }
         let topology = protocol.topology();
         let mut processes: Vec<Box<dyn Process>> = Vec::with_capacity(n);
@@ -230,103 +155,32 @@ impl RingRunner {
             processes.push(if i == 0 { protocol.leader(sym) } else { protocol.follower(sym) });
         }
 
-        // A resumed run takes its configuration from the snapshot so it
-        // reproduces the interrupted run regardless of this runner's own
-        // settings; only the fault plan is re-supplied by the caller.
-        let (scheduler, known_ring_size, max_events) = match resume {
-            Some(snap) => (snap.scheduler.clone(), snap.known_ring_size, snap.max_events),
-            None => (self.scheduler.clone(), self.known_ring_size, self.max_events),
-        };
-
-        let mut links: Links = Links::new(2 * n, &scheduler);
-        let mut stats;
-        let mut sink;
-        let mut seq: u64;
-        let mut deliveries: usize;
-        let mut position_deliveries: Vec<u64>;
-        let known = known_ring_size.then_some(n);
+        let mut links: Links = Links::new(2 * n, &self.scheduler);
+        let mut stats = ExecStats::new(n);
+        let mut sink = TraceSink::new(self.record_trace, self.trace_ring);
+        let mut seq: u64 = 0;
+        let mut deliveries: usize = 0;
+        let mut position_deliveries: Vec<u64> = vec![0; n];
 
         // One context for the whole run; reset per event so the outbox
         // buffer's allocation is reused across deliveries.
-        let mut ctx = Context::new(true, known);
+        let mut ctx = Context::new(true, self.known_ring_size.then_some(n));
 
-        if let Some(snap) = resume {
-            let _restore_timer = self.metrics.start_timer("checkpoint.restore");
-            for (i, bytes) in snap.processes.iter().enumerate() {
-                processes[i]
-                    .load_state(bytes)
-                    .map_err(|source| SimError::Process { position: i, source })?;
-            }
-            // Replaying each queue front-to-back rebuilds the scheduler
-            // index exactly: per-link seqs are increasing, so the FIFO
-            // heap, the backlog buckets, and the Fenwick occupancy all
-            // land in the state the interrupted run had.
-            for (link, queue) in snap.links.iter().enumerate() {
-                for (s, payload) in queue {
-                    links.push(link, *s, payload.clone());
-                }
-            }
-            if let Some(state) = &snap.rng {
-                links.import_rng(state);
-            }
-            stats = snap.stats.clone();
-            sink = TraceSink { trace: snap.trace.clone(), ring: snap.ring.clone() };
-            seq = snap.seq;
-            deliveries = snap.deliveries;
-            position_deliveries = snap.position_deliveries.clone();
-        } else {
-            stats = ExecStats::new(n);
-            sink = TraceSink::new(self.record_trace, self.trace_ring);
-            seq = 0;
-            deliveries = 0;
-            position_deliveries = vec![0; n];
-
-            // Start the leader.
-            processes[0]
-                .on_start(&mut ctx)
-                .map_err(|source| SimError::Process { position: 0, source })?;
-            let decision = apply_effects(
-                &mut ctx, 0, n, topology, &mut links, &mut stats, &mut sink, &mut seq,
-            )?;
-            if let Some(d) = decision {
-                stats.deliveries = deliveries;
-                flush_engine_metrics(&self.metrics, &stats, sink.ring.as_ref());
-                return Ok(RunPhase::Done(Outcome {
-                    decision: Some(d),
-                    stats,
-                    trace: sink.trace,
-                    trace_ring: sink.ring,
-                }));
-            }
-        }
+        // Start the leader.
+        processes[0]
+            .on_start(&mut ctx)
+            .map_err(|source| SimError::Process { position: 0, source })?;
+        let mut decision =
+            apply_effects(&mut ctx, 0, n, topology, &mut links, &mut stats, &mut sink, &mut seq)?;
 
         let fault_plan = self.fault_plan.as_ref();
 
-        loop {
-            if let Some(k) = pause_at {
-                if deliveries >= k {
-                    let _capture_timer = self.metrics.start_timer("checkpoint.capture");
-                    let snap = capture_serial(
-                        n,
-                        &scheduler,
-                        known_ring_size,
-                        max_events,
-                        seq,
-                        deliveries,
-                        &position_deliveries,
-                        &stats,
-                        &links,
-                        &processes,
-                        &sink,
-                    )?;
-                    return Ok(RunPhase::Paused(Box::new(snap)));
-                }
-            }
+        while decision.is_none() {
             let Some(link) = links.choose() else {
                 return Err(SimError::Stalled { deliveries });
             };
-            if deliveries >= max_events {
-                return Err(SimError::EventLimitExceeded { limit: max_events });
+            if deliveries >= self.max_events {
+                return Err(SimError::EventLimitExceeded { limit: self.max_events });
             }
             let mut payload = links.pop(link);
             deliveries += 1;
@@ -341,13 +195,8 @@ impl RingRunner {
             position_deliveries[receiver] += 1;
             let fault =
                 fault_plan.and_then(|p| p.for_delivery(receiver, position_deliveries[receiver]));
-            if let Some(f) = &fault {
-                if let Some(c) = &f.corrupt {
-                    payload = c.apply(&payload);
-                }
-                if f.delay_micros > 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(f.delay_micros));
-                }
+            if let Some(c) = fault.as_ref().and_then(|f| f.corrupt.as_ref()) {
+                payload = c.apply(&payload);
             }
 
             if sink.active() {
@@ -377,25 +226,19 @@ impl RingRunner {
                     ctx.decide(accept);
                 }
             }
-            let decision = apply_effects(
+            decision = apply_effects(
                 &mut ctx, receiver, n, topology, &mut links, &mut stats, &mut sink, &mut seq,
             )?;
-            if let Some(d) = decision {
-                stats.deliveries = deliveries;
-                flush_engine_metrics(&self.metrics, &stats, sink.ring.as_ref());
-                return Ok(RunPhase::Done(Outcome {
-                    decision: Some(d),
-                    stats,
-                    trace: sink.trace,
-                    trace_ring: sink.ring,
-                }));
-            }
         }
+
+        stats.deliveries = deliveries;
+        flush_engine_metrics(&self.metrics, &stats, sink.ring.as_ref());
+        Ok(Outcome { decision, stats, trace: sink.trace, trace_ring: sink.ring })
     }
 }
 
 /// Folds a completed run's already-computed totals into the metrics
-/// registry — one call at the `Done` boundary, zero hot-loop cost.
+/// registry — one call when the leader decides, zero hot-loop cost.
 /// Scheduler picks equal deliveries on the event engine (every pick
 /// delivers exactly one message); bit-rounds is the max over per-link
 /// bit totals, the unit of the Θ(D + log n) bound in PAPERS.md.
@@ -419,63 +262,6 @@ fn flush_engine_metrics(metrics: &Metrics, stats: &ExecStats, ring: Option<&Trac
     if let Some(ring) = ring {
         metrics.counter_add("trace.ring_drops", ring.dropped());
     }
-}
-
-/// Unwraps a [`RunPhase`] that cannot be `Paused` (no pause point given).
-fn finished(phase: RunPhase) -> Result<Outcome, SimError> {
-    match phase {
-        RunPhase::Done(outcome) => Ok(outcome),
-        RunPhase::Paused(_) => {
-            Err(SimError::Snapshot { reason: "engine paused without a pause point".into() })
-        }
-    }
-}
-
-/// Captures the serial engine's complete state at a delivery boundary.
-#[allow(clippy::too_many_arguments)]
-fn capture_serial(
-    n: usize,
-    scheduler: &Scheduler,
-    known_ring_size: bool,
-    max_events: usize,
-    seq: u64,
-    deliveries: usize,
-    position_deliveries: &[u64],
-    stats: &ExecStats,
-    links: &Links,
-    processes: &[Box<dyn Process>],
-    sink: &TraceSink,
-) -> Result<EngineSnapshot, SimError> {
-    let mut proc_states = Vec::with_capacity(n);
-    for (i, p) in processes.iter().enumerate() {
-        match p.save_state() {
-            Some(bytes) => proc_states.push(bytes),
-            None => {
-                return Err(SimError::Snapshot {
-                    reason: format!(
-                        "protocol does not implement save_state (processor {i}); \
-                         checkpointing requires opt-in"
-                    ),
-                });
-            }
-        }
-    }
-    Ok(EngineSnapshot {
-        version: SNAPSHOT_VERSION,
-        n,
-        scheduler: scheduler.clone(),
-        known_ring_size,
-        max_events,
-        seq,
-        deliveries,
-        position_deliveries: position_deliveries.to_vec(),
-        stats: stats.clone(),
-        links: (0..links.link_count()).map(|link| links.queue_contents(link)).collect(),
-        rng: links.export_rng(),
-        processes: proc_states,
-        trace: sink.trace.clone(),
-        ring: sink.ring.clone(),
-    })
 }
 
 /// Applies a handler's buffered sends/decision, draining the context for
@@ -613,6 +399,20 @@ mod tests {
         let states = trace.info_states(&inputs);
         assert_eq!(states[0].entries.len(), 2);
         assert_eq!(states[1].entries.len(), 2);
+    }
+
+    #[test]
+    fn trace_ring_holds_the_tail_of_the_full_trace() {
+        let capacity = 4;
+        let mut full = RingRunner::new();
+        full.record_trace(true);
+        let trace = full.run(&RoundTrip, &word(10)).unwrap().trace.unwrap();
+        let mut ringed = RingRunner::new();
+        ringed.trace_ring(capacity);
+        let ring = ringed.run(&RoundTrip, &word(10)).unwrap().trace_ring.unwrap();
+        let tail: Vec<_> = trace.events().iter().rev().take(capacity).rev().collect();
+        assert_eq!(ring.tail(capacity), tail);
+        assert_eq!(ring.dropped() as usize, trace.events().len() - capacity);
     }
 
     /// Protocol violating direction rules on a unidirectional ring.

@@ -24,9 +24,7 @@
 //!   effects after the handler, as if the processor had emitted them —
 //!   the direct route to [`SimError::IllegalSend`],
 //!   [`SimError::FollowerDecided`], and (by flooding)
-//!   [`SimError::EventLimitExceeded`];
-//! * [`FaultAction::Delay`] sleeps before handling — wall-clock only,
-//!   observables unchanged, for exercising timeouts and backpressure.
+//!   [`SimError::EventLimitExceeded`].
 //!
 //! [`SimError`]: crate::SimError
 //! [`SimError::IllegalSend`]: crate::SimError::IllegalSend
@@ -90,19 +88,12 @@ pub enum FaultAction {
         /// The forced decision.
         accept: bool,
     },
-    /// Sleep for this long before handling the message. Wall-clock only:
-    /// no observable (trace, stats, decision) changes.
-    Delay {
-        /// Sleep duration in microseconds.
-        micros: u64,
-    },
 }
 
 /// One scheduled injection: fire `action` when the processor at
 /// `position` receives its `delivery`-th message (1-based, counted per
-/// receiver — a coordinate that survives snapshot and resume, unlike
-/// global event indexes, which shift when tracing toggles seq
-/// consumption).
+/// receiver — a coordinate independent of tracing, unlike global event
+/// indexes, which shift when tracing toggles seq consumption).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
     /// 0-based position of the receiving processor (leader = 0).
@@ -195,7 +186,6 @@ impl FaultPlan {
                     slot.inject_sends.push((*direction, payload.clone()));
                 }
                 FaultAction::InjectDecide { accept } => slot.inject_decide = Some(*accept),
-                FaultAction::Delay { micros } => slot.delay_micros += micros,
             }
         }
         hit
@@ -204,13 +194,12 @@ impl FaultPlan {
 
 /// Everything the fault plan injects at one delivery, pre-resolved so
 /// the engine applies it without re-scanning the plan. When several faults
-/// fire together, sends and delays accumulate; for corrupt and decide
+/// fire together, sends accumulate; for corrupt and decide
 /// the *last* scheduled fault wins.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryFault {
     pub(crate) corrupt: Option<Corruption>,
     pub(crate) stall: bool,
-    pub(crate) delay_micros: u64,
     pub(crate) inject_sends: Vec<(Direction, BitString)>,
     pub(crate) inject_decide: Option<bool>,
 }
@@ -220,7 +209,7 @@ pub(crate) struct DeliveryFault {
 ///
 /// `#[doc(hidden)]` like [`crate::sched::testkit`]: test-support
 /// surface, not part of the supported API. Prefer [`FaultPlan`] — it is
-/// engine-applied, position-exact, and checkpointable; the adapter
+/// engine-applied and position-exact; the adapter
 /// survives for tests of the wrapping technique itself (the Theorem 5
 /// cut-link transformation uses the same detached-context pattern).
 #[doc(hidden)]
@@ -371,16 +360,9 @@ mod tests {
             recurring: false,
             action: FaultAction::InjectSend { direction: Direction::Clockwise, payload: bits("1") },
         });
-        plan.push(Fault {
-            position: 1,
-            delivery: 1,
-            recurring: false,
-            action: FaultAction::Delay { micros: 5 },
-        });
         let f = plan.for_delivery(1, 1).unwrap();
         assert!(f.corrupt.is_some());
         assert_eq!(f.inject_sends.len(), 1);
-        assert_eq!(f.delay_micros, 5);
         assert!(!f.stall);
     }
 

@@ -1,7 +1,5 @@
 //! Bit-complexity accounting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Direction;
 
 /// Exact accounting of one execution's communication.
@@ -12,7 +10,7 @@ use crate::Direction;
 /// by the experiments: per-link loads locate the minimum-traffic link for
 /// the Theorem 5 cut argument, and `max_message_bits` exhibits the
 /// `Ω(log n)` message-width growth of Theorem 4.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total bits sent — the execution's bit complexity.
     pub total_bits: usize,

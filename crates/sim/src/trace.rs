@@ -17,7 +17,7 @@ use ringleader_bitio::BitString;
 use crate::Direction;
 
 /// What happened in a single trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A processor handed a message to a link.
     Send,
@@ -26,7 +26,7 @@ pub enum EventKind {
 }
 
 /// One send or delivery, in global order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global sequence number (sends and deliveries share one clock).
     pub seq: u64,
@@ -41,7 +41,7 @@ pub struct TraceEvent {
 }
 
 /// A full record of one execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
@@ -91,7 +91,7 @@ const INTERVAL_HISTORY: usize = 64;
 /// A [`TraceRing`] closes a window every `capacity` events, so at
 /// `massive` scale these are the only whole-run observability record:
 /// the raw events themselves are long gone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalStats {
     /// Sequence number of the first event in the window.
     pub first_seq: u64,
@@ -117,7 +117,7 @@ pub struct IntervalStats {
 /// window, and closes an [`IntervalStats`] record every `capacity` events
 /// so long runs still stream coarse-grained progress. Memory is
 /// O(capacity), independent of run length.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRing {
     capacity: usize,
     events: VecDeque<TraceEvent>,
@@ -414,16 +414,5 @@ mod tests {
         assert_eq!(ring.capacity(), 1);
         assert_eq!(ring.len(), 1);
         assert!(!ring.is_empty());
-    }
-
-    #[test]
-    fn ring_roundtrips_through_serde() {
-        let mut ring = TraceRing::new(2);
-        for seq in 0..5 {
-            ring.push(ev(seq, EventKind::Deliver, 2, "11"));
-        }
-        let content = serde::Serialize::to_content(&ring);
-        let back: TraceRing = serde::Deserialize::from_content(&content).unwrap();
-        assert_eq!(ring, back);
     }
 }

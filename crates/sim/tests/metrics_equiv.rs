@@ -1,10 +1,9 @@
 //! Metrics-equivalence suite: attaching an enabled
 //! [`ringleader_obs::Metrics`] registry must never change a single
 //! observable byte — decision, every [`ExecStats`] field, and the full
-//! event trace — across the serial and threaded engines, every
-//! scheduling policy, and kill/resume splits. The registry itself must
-//! still fill with real telemetry: engine counters and checkpoint
-//! timings.
+//! event trace — across the serial and threaded engines and every
+//! scheduling policy. The registry itself must still fill with real
+//! telemetry: the engine counters.
 //!
 //! This is the load-bearing contract of the observability layer:
 //! telemetry is write-only from the engines' perspective (enforced
@@ -17,7 +16,7 @@ use ringleader_bitio::{BitReader, BitString, BitWriter};
 use ringleader_obs::Metrics;
 use ringleader_sim::{
     Context, Direction, Outcome, Process, ProcessError, ProcessResult, Protocol, RingRunner,
-    RunPhase, Scheduler, ThreadedRunner, Topology,
+    Scheduler, ThreadedRunner, Topology,
 };
 
 fn word(n: usize) -> Word {
@@ -29,7 +28,7 @@ fn schedulers() -> [Scheduler; 3] {
 }
 
 // ---------------------------------------------------------------------------
-// A stateful storm protocol (the checkpoint suite's shape): several
+// A stateful storm protocol: several
 // messages in flight so the scheduling policy matters, per-process
 // state stamped into payloads so any disturbance shows in the bytes.
 // ---------------------------------------------------------------------------
@@ -81,18 +80,6 @@ impl Process for StormLeader {
         }
         Ok(())
     }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(self.returned.to_le_bytes().to_vec())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        let arr: [u8; 8] = bytes
-            .try_into()
-            .map_err(|_| ProcessError::InvalidState("leader state is 8 bytes".into()))?;
-        self.returned = u64::from_le_bytes(arr);
-        Ok(())
-    }
 }
 
 struct StormFollower {
@@ -104,18 +91,6 @@ impl Process for StormFollower {
         let (lap, _stamp) = decode(msg)?;
         self.seen += 1;
         ctx.send(dir, encode(lap, self.seen));
-        Ok(())
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(self.seen.to_le_bytes().to_vec())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        let arr: [u8; 8] = bytes
-            .try_into()
-            .map_err(|_| ProcessError::InvalidState("follower state is 8 bytes".into()))?;
-        self.seen = u64::from_le_bytes(arr);
         Ok(())
     }
 }
@@ -234,35 +209,6 @@ proptest! {
         prop_assert_eq!(counter("engine.scheduler_picks"), plain.stats.deliveries as u64);
         prop_assert_eq!(counter("engine.messages"), plain.stats.message_count as u64);
         prop_assert_eq!(counter("engine.bits_sent"), plain.stats.total_bits as u64);
-    }
-
-    /// Kill/resume with metrics on both sides of the split still matches
-    /// the unmetered uninterrupted baseline byte for byte.
-    #[test]
-    fn metered_kill_resume_matches_unmetered_baseline(
-        n in 4usize..16,
-        burst in 1usize..4,
-        laps in 1u64..3,
-        k in 0usize..60,
-        scheduler_pick in 0usize..3,
-    ) {
-        let proto = StatefulStorm { burst, laps };
-        let w = word(n);
-        let scheduler = schedulers()[scheduler_pick].clone();
-        let baseline = runner(&scheduler, None).run(&proto, &w).unwrap();
-        let metrics = Metrics::enabled();
-        let metered = runner(&scheduler, Some(metrics.clone()));
-        match metered.run_until(&proto, &w, k).expect("pause point is reachable") {
-            RunPhase::Done(outcome) => assert_outcomes_identical(&outcome, &baseline, "done"),
-            RunPhase::Paused(snap) => {
-                let resumed = metered.resume(&proto, &w, &snap).expect("resume completes");
-                assert_outcomes_identical(&resumed, &baseline, "stitched");
-                // The split run timed both sides of the checkpoint.
-                let report = metrics.run_report();
-                prop_assert!(report.timings.contains_key("checkpoint.capture"));
-                prop_assert!(report.timings.contains_key("checkpoint.restore"));
-            }
-        }
     }
 }
 
